@@ -1,37 +1,1 @@
 """Benchmark harness regenerating the paper's evaluation figures."""
-
-from repro.bench.configs import (
-    FIGURE8_THREADS,
-    FIGURE_MECHANISMS,
-    PAPER_CONFIG,
-    SCALED_CONFIG,
-    all_figure_specs,
-    figure_spec,
-    uncached,
-)
-from repro.bench.figures import (
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_recovery_matrix,
-    run_ret_ablation,
-    run_size_sensitivity,
-)
-
-__all__ = [
-    "FIGURE8_THREADS",
-    "FIGURE_MECHANISMS",
-    "PAPER_CONFIG",
-    "SCALED_CONFIG",
-    "all_figure_specs",
-    "figure_spec",
-    "uncached",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_recovery_matrix",
-    "run_ret_ablation",
-    "run_size_sensitivity",
-]

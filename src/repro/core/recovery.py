@@ -98,6 +98,9 @@ def crash_test(result: SimulationResult, num_points: int = 24,
     for prefix in crash_points(len(log), num_points, seed):
         image = result.nvm.image_after_prefix(prefix)
         report = result.structure.validate_image(image)
+        # Drop the image before the next one is built, so only one
+        # whole-NVM dict is alive at a time.
+        del image
         outcomes.append(CrashOutcome(prefix_len=prefix, report=report))
     return CrashCampaign(mechanism=result.mechanism,
                          workload=result.spec.structure,

@@ -19,7 +19,7 @@ marked node they encounter.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.events import MemOrder
 from repro.core.thread import cas, load, store
@@ -45,6 +45,7 @@ NODE_WORDS = 3
 # loops: search runs once per data-structure operation and its field()
 # calls are measurable at bench scale.
 _KEY_OFF = KEY * 8
+_VALUE_OFF = VALUE * 8
 _NEXT_OFF = NEXT * 8
 
 
@@ -189,44 +190,69 @@ class HarrisListOps:
             memory[addr + 8] = value_of(key)
             memory[addr + 16] = node_addrs[i + 1] if i < last else NULL
 
-    def walk(self, image: Dict[int, Word], head_ptr: int,
-             max_nodes: int) -> Tuple[List[str], int, Set[int]]:
-        """Validate a chain in a crash image.
+    def walk(self, image: Dict[int, Word], head_ptrs: Sequence[int],
+             max_nodes: int, bucket_prefix: bool = False
+             ) -> Tuple[List[str], int, Set[int]]:
+        """Validate the chains rooted at ``head_ptrs`` in a crash image.
 
-        Returns (problems, reachable node count, live key set). A
-        reachable node with missing (never-persisted) fields is the
-        tell-tale ARP failure of Figure 1.
+        Chain ``i`` is bucket ``i`` of a ``len(head_ptrs)``-bucket hash
+        table, so each live key on it must hash to ``i`` (vacuous for a
+        single chain); ``bucket_prefix`` labels its problems
+        ``bucket i:``. Returns (problems, reachable node count, live
+        key set). A reachable node with missing (never-persisted)
+        fields is the tell-tale ARP failure of Figure 1. Keys must
+        strictly increase along a chain, so a chain stops at its first
+        ordering violation, which any cycle hits within one lap.
+
+        One loop over every chain, with ``field``/``unmark``/
+        ``is_marked`` inlined: this runs once per crash point over
+        the whole pre-populated structure.
         """
+        get = image.get
         problems: List[str] = []
         live: Set[int] = set()
-        raw = image.get(head_ptr)
-        if raw is None:
-            problems.append(f"head pointer {head_ptr:#x} not in NVM")
-            return problems, 0, live
-        curr = unmark(raw)
-        prev_key = KEY_MIN
+        add_live = live.add
+        misplaced: List[int] = []
+        buckets = len(head_ptrs)
         count = 0
-        while curr != NULL:
-            count += 1
-            if count > max_nodes:
-                problems.append(
-                    f"chain from {head_ptr:#x} exceeds {max_nodes} nodes "
-                    "(cycle or corruption)")
-                break
-            key = image.get(field(curr, KEY))
-            value = image.get(field(curr, VALUE))
-            nxt = image.get(field(curr, NEXT))
-            if key is None or value is None or nxt is None:
-                problems.append(
-                    f"node {curr:#x} is linked into the chain but its "
-                    "fields never persisted (inconsistent cut)")
-                break
-            if key <= prev_key:
-                problems.append(
-                    f"chain ordering violated at node {curr:#x}: "
-                    f"{key} after {prev_key}")
-            if not is_marked(nxt):
-                live.add(key)
-            prev_key = key
-            curr = unmark(nxt)
+        for index, head_ptr in enumerate(head_ptrs):
+            problem = None
+            raw = get(head_ptr)
+            if raw is None:
+                problem = f"head pointer {head_ptr:#x} not in NVM"
+                raw = NULL
+            curr = raw & ~1
+            prev_key = KEY_MIN
+            limit = count + max_nodes
+            while curr:   # != NULL
+                count += 1
+                if count > limit:
+                    problem = (f"chain from {head_ptr:#x} exceeds "
+                               f"{max_nodes} nodes (cycle or corruption)")
+                    break
+                key = get(curr + _KEY_OFF)
+                nxt = get(curr + _NEXT_OFF)
+                if (key is None or nxt is None
+                        or get(curr + _VALUE_OFF) is None):
+                    problem = (f"node {curr:#x} is linked into the chain "
+                               "but its fields never persisted "
+                               "(inconsistent cut)")
+                    break
+                if key <= prev_key:
+                    problem = (f"chain ordering violated at node "
+                               f"{curr:#x}: {key} after {prev_key}")
+                    break
+                if not nxt & 1:
+                    add_live(key)
+                    if key % buckets != index:
+                        misplaced.append(key)
+                prev_key = key
+                curr = nxt & ~1
+            if problem is not None or misplaced:
+                label = f"bucket {index}: " if bucket_prefix else ""
+                if problem is not None:
+                    problems.append(label + problem)
+                problems.extend(f"{label}key {key} hashed elsewhere"
+                                for key in misplaced)
+                misplaced.clear()
         return problems, count, live

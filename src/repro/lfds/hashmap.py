@@ -73,20 +73,12 @@ class HashMap(LogFreeStructure):
                 memory[head_ptr] = NULL
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
-        problems = []
-        live: Set[int] = set()
-        total = 0
-        for bucket in range(self.num_buckets):
-            head_ptr = self.buckets_base + bucket * self._stride
-            bucket_problems, count, bucket_live = self._ops.walk(
-                image, head_ptr, self._max_chain)
-            problems.extend(f"bucket {bucket}: {p}" for p in bucket_problems)
-            for key in bucket_live:
-                if key % self.num_buckets != bucket:
-                    problems.append(
-                        f"bucket {bucket}: key {key} hashed elsewhere")
-            live |= bucket_live
-            total += count
+        heads = range(self.buckets_base,
+                      self.buckets_base + self.num_buckets * self._stride,
+                      self._stride)
+        problems, total, live = self._ops.walk(image, heads,
+                                               self._max_chain,
+                                               bucket_prefix=True)
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=total,
                               live_keys=live)

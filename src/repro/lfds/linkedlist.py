@@ -48,13 +48,13 @@ class LinkedList(LogFreeStructure):
                               value_of=lambda k: k + 1)
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
-        problems, count, live = self._ops.walk(image, self.head_ptr,
+        problems, count, live = self._ops.walk(image, (self.head_ptr,),
                                                self._max_nodes)
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=count,
                               live_keys=live)
 
     def collect_keys(self, memory: Dict[int, Word]) -> Set[int]:
-        _problems, _count, live = self._ops.walk(memory, self.head_ptr,
+        _problems, _count, live = self._ops.walk(memory, (self.head_ptr,),
                                                  self._max_nodes)
         return live

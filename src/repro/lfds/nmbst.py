@@ -49,10 +49,14 @@ NODE_WORDS = 4
 # Byte offsets inlined in the seek/build hot paths:
 # field(node, X) == node + 8 * X.
 _KEY_OFF = KEY * 8
+_VALUE_OFF = VALUE * 8
 _LEFT_OFF = LEFT * 8
+_RIGHT_OFF = RIGHT * 8
 
 FLAG = 1
 TAG = 2
+#: Strips the mark bits from a child word, leaving the pointer.
+_ADDR_MASK = ~(FLAG | TAG)
 
 #: Sentinel keys (all real keys are smaller than INF0).
 INF0 = KEY_MAX
@@ -64,7 +68,7 @@ def addr_of(raw: Word) -> int:
     """Pointer payload of a child word (mark bits stripped)."""
     if raw is None:
         return NULL
-    return raw & ~(FLAG | TAG)
+    return raw & _ADDR_MASK
 
 
 def is_flagged(raw: Word) -> bool:
@@ -330,53 +334,68 @@ class NMTree(LogFreeStructure):
     # ------------------------------------------------------------------
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
+        """Depth-first walk from the root sentinel, checking each
+        node's key against the bounds its path sets.
+
+        ``field``/``addr_of``/``is_flagged`` are inlined: this runs once
+        per crash point over the whole pre-populated tree.
+        """
+        get = image.get
         problems: List[str] = []
         live: Set[int] = set()
+        add_live = live.add
         count = 0
+        max_nodes = self._max_nodes
         # (node raw edge, low bound, high bound)
         stack: List[Tuple[Word, int, int]] = [
-            (image.get(field(self.R, LEFT)), -(1 << 63), 1 << 63)]
-        right_raw = image.get(field(self.R, RIGHT))
+            (get(self.R + _LEFT_OFF), -(1 << 63), 1 << 63)]
+        right_raw = get(self.R + _RIGHT_OFF)
         if right_raw is not None:
             stack.append((right_raw, -(1 << 63), 1 << 63))
+        pop, push = stack.pop, stack.append
         while stack and not problems:
-            raw, low, high = stack.pop()
-            if raw is None:
-                problems.append("reachable edge word never persisted")
-                break
-            node = addr_of(raw)
-            if node == NULL:
-                continue
-            count += 1
-            if count > self._max_nodes:
-                problems.append("tree exceeds node bound (cycle?)")
-                break
-            key = image.get(field(node, KEY))
-            left = image.get(field(node, LEFT))
-            right = image.get(field(node, RIGHT))
-            if key is None or left is None or right is None:
-                problems.append(
-                    f"node {node:#x} is linked into the tree but its "
-                    "fields never persisted (inconsistent cut)")
-                break
-            if not low <= key <= high:
-                problems.append(
-                    f"BST ordering violated at {node:#x}: key {key} "
-                    f"outside [{low}, {high}]")
-            is_leaf = addr_of(left) == NULL and addr_of(right) == NULL
-            one_null = (addr_of(left) == NULL) != (addr_of(right) == NULL)
-            if one_null:
-                problems.append(
-                    f"internal node {node:#x} has exactly one child")
-            if is_leaf:
-                if key < INF0 and not is_flagged(raw):
-                    live.add(key)
-                if image.get(field(node, VALUE)) is None:
+            raw, low, high = pop()
+            # Descend right edges in place and stack only left ones:
+            # the same visit order as stacking both children.
+            while True:
+                if raw is None:
+                    problems.append("reachable edge word never persisted")
+                    break
+                node = raw & _ADDR_MASK
+                if not node:   # NULL
+                    break
+                count += 1
+                if count > max_nodes:
+                    problems.append("tree exceeds node bound (cycle?)")
+                    break
+                key = get(node + _KEY_OFF)
+                left = get(node + _LEFT_OFF)
+                right = get(node + _RIGHT_OFF)
+                if key is None or left is None or right is None:
                     problems.append(
-                        f"leaf {node:#x} value never persisted")
-            else:
-                stack.append((left, low, key - 1))
-                stack.append((right, key, high))
+                        f"node {node:#x} is linked into the tree but its "
+                        "fields never persisted (inconsistent cut)")
+                    break
+                if not low <= key <= high:
+                    problems.append(
+                        f"BST ordering violated at {node:#x}: key {key} "
+                        f"outside [{low}, {high}]")
+                left_null = not left & _ADDR_MASK
+                right_null = not right & _ADDR_MASK
+                if left_null != right_null:
+                    problems.append(
+                        f"internal node {node:#x} has exactly one child")
+                if left_null and right_null:
+                    if key < INF0 and not raw & FLAG:
+                        add_live(key)
+                    if get(node + _VALUE_OFF) is None:
+                        problems.append(
+                            f"leaf {node:#x} value never persisted")
+                    break
+                if problems:
+                    break
+                push((left, low, key - 1))
+                raw, low = right, key
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=count,
                               live_keys=live)

@@ -44,6 +44,8 @@ HEADER_WORDS = 3
 # field(node, KEY) == node, next-pointer for ``level`` is
 # node + _NEXT_BASE + 8 * level.
 _KEY_OFF = KEY * 8
+_VALUE_OFF = VALUE * 8
+_LEVEL_OFF = LEVEL * 8
 _NEXT_BASE = HEADER_WORDS * 8
 
 
@@ -290,31 +292,42 @@ class SkipList(LogFreeStructure):
     # ------------------------------------------------------------------
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
+        """Walk every level's chain from the head tower.
+
+        Keys must strictly increase along a level, so a level stops at
+        its first ordering violation, which any cycle hits within one
+        lap. ``field``/``_next_addr``/``unmark``/``is_marked`` are
+        inlined: this runs once per crash point over the whole
+        pre-populated structure.
+        """
+        get = image.get
         problems: List[str] = []
         live: Set[int] = set()
+        add_live = live.add
         count = 0
+        max_nodes = self._max_nodes
         for level in range(self.max_level):
-            prev_key = KEY_MIN
-            raw = image.get(self._next_addr(self.head, level))
+            next_off = _NEXT_BASE + (level << 3)
+            raw = get(self.head + next_off)
             if raw is None:
                 problems.append(f"head tower level {level} not in NVM")
                 continue
-            curr = unmark(raw)
+            curr = raw & ~1
+            prev_key = KEY_MIN
             steps = 0
-            while curr != NULL:
+            while curr:   # != NULL
                 steps += 1
-                if steps > self._max_nodes:
+                if steps > max_nodes:
                     problems.append(f"level {level} chain exceeds bound")
                     break
-                key = image.get(field(curr, KEY))
-                value = image.get(field(curr, VALUE))
-                height = image.get(field(curr, LEVEL))
-                if key is None or value is None or height is None:
+                key = get(curr + _KEY_OFF)
+                if (key is None or get(curr + _VALUE_OFF) is None
+                        or get(curr + _LEVEL_OFF) is None):
                     problems.append(
                         f"node {curr:#x} linked at level {level} but its "
                         "fields never persisted (inconsistent cut)")
                     break
-                raw_next = image.get(self._next_addr(curr, level))
+                raw_next = get(curr + next_off)
                 if raw_next is None:
                     problems.append(
                         f"node {curr:#x} level-{level} link never "
@@ -323,12 +336,13 @@ class SkipList(LogFreeStructure):
                 if key <= prev_key:
                     problems.append(
                         f"level {level} ordering violated at {curr:#x}")
+                    break
                 if level == 0:
                     count += 1
-                    if not is_marked(raw_next):
-                        live.add(key)
+                    if not raw_next & 1:
+                        add_live(key)
                 prev_key = key
-                curr = unmark(raw_next)
+                curr = raw_next & ~1
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=count,
                               live_keys=live)

@@ -326,11 +326,14 @@ def rto_summary(result, num_points: int = 8,
     for prefix in points:
         crash_cycle = log[prefix - 1].complete_time if prefix else 0
         image = result.nvm.image_after_prefix(prefix)
-        report = result.structure.validate_image(image)
-        if report.ok:
+        words = len(image)
+        ok = result.structure.validate_image(image).ok
+        # Drop the image before the next one is built, so only one
+        # whole-NVM dict is alive at a time.
+        del image
+        if ok:
             recovered += 1
-        rtos.append(RTO_BASE_CYCLES
-                    + RTO_SCAN_CYCLES_PER_WORD * len(image))
+        rtos.append(RTO_BASE_CYCLES + RTO_SCAN_CYCLES_PER_WORD * words)
         if completions:
             completed = bisect.bisect_right(completions, crash_cycle)
             durable = bisect.bisect_right(durables, crash_cycle)

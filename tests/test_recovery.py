@@ -167,7 +167,6 @@ class TestCampaignAPI:
         assert result.structure.validate_image(image).ok
 
 
-@pytest.mark.slow
 class TestValidatorSensitivity:
     """The validators must actually detect the Figure 1 failure modes."""
 
@@ -216,6 +215,11 @@ class TestValidatorSensitivity:
         memory[second + H_NEXT * 8] = first  # cycle
         report = structure.validate_image(memory)
         assert not report.ok
+        # Keys strictly increase along a chain, so the walk stops at
+        # the first revisit instead of at the node bound.
+        assert report.problems == [
+            f"chain ordering violated at node {first:#x}: 1 after 2"]
+        assert report.reachable_nodes == 3
 
     def test_marked_nodes_not_live(self):
         structure, memory = self._fresh_list(keys=(1, 2))
