@@ -55,10 +55,10 @@ test:
 # Fast feedback loop: skip the tests marked @pytest.mark.slow
 # (recovery campaigns, hypothesis property sweeps, cross-mechanism
 # interleaving checks). The provenance pins (trigger taxonomy, exact
-# stall reconciliation, bit-identity) always run here.
+# stall reconciliation, bit-identity) always run here because none of
+# tests/test_provenance.py is marked slow; keep it that way.
 smoke:
 	$(PYTEST) -q -m "not slow"
-	$(PYTEST) -q tests/test_provenance.py
 
 # End-to-end self-tests: the parallel-runner equivalence suite and the
 # observability stack (bit-identity, trace export, attribution,

@@ -165,8 +165,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="functions to show from a second, "
                              "cProfile'd run (0 = skip the profiled "
                              "pass; the timed run is never profiled)")
-    parser.add_argument("--no-numpy", action="store_true",
-                        help="force the pure-array table fallback")
     parser.add_argument("--json-out", default=None, metavar="FILE")
     parser.add_argument("--check-against", default=None, metavar="FILE",
                         help="baseline JSON (same schema as "
@@ -177,8 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     os.environ["REPRO_FASTSIM"] = "0" if args.engine == "reference" else "1"
-    if args.no_numpy:
-        os.environ["REPRO_NO_NUMPY"] = "1"
 
     record = run_cell(args.workload, args.mechanism, scale=args.scale,
                       num_threads=args.threads, seed=args.seed)

@@ -1,39 +1,16 @@
-"""Flat integer tables backing the coherence hot-path state.
+"""Dense line-id interning for the coherence hot-path tables.
 
 The simulation hot path indexes L1 line state and directory
 owner/sharer state millions of times per run. Dict-of-dataclass
-storage pays an attribute lookup plus hashing per access; the tables
-here keep that state in flat ``array`` buffers indexed by a dense id,
-so the batch engine (:mod:`repro.core.fastsim`) reads plain C-backed
-slots, and bulk passes can use zero-copy numpy views when numpy is
-installed.
-
-numpy is strictly optional (the ``fast`` extra in pyproject.toml):
-every consumer falls back to the pure-``array`` path, and the
-equivalence tests pin that both paths produce bit-identical results.
-Set ``REPRO_NO_NUMPY=1`` to force the fallback (used by the tests and
-the profiling harness).
+storage pays an attribute lookup plus hashing per access; the
+directory instead keeps that state in flat stdlib tables indexed by a
+dense line id, so the batch engine (:mod:`repro.core.fastsim`) reads
+plain list and ``array`` slots. This module hands out those ids.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import Dict, List, Optional
-
-try:  # pragma: no cover - exercised via both CI legs
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-
-def numpy_or_none():
-    """The numpy module when available and not disabled, else None."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    return _numpy
 
 
 class LineIdMap:
@@ -65,39 +42,3 @@ class LineIdMap:
             self.index[line_addr] = lid
             self.addrs.append(line_addr)
         return lid
-
-
-class IntTable:
-    """A growable flat signed-integer table (``array``-backed).
-
-    ``ensure(n)`` grows the table to at least ``n`` entries, filling
-    new slots with the table's fill value. ``as_numpy()`` returns a
-    zero-copy numpy view of the current buffer (or None without
-    numpy); the view is only valid until the next growth.
-    """
-
-    __slots__ = ("data", "fill")
-
-    def __init__(self, typecode: str = "q", fill: int = 0) -> None:
-        self.data = array(typecode)
-        self.fill = fill
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __getitem__(self, index: int) -> int:
-        return self.data[index]
-
-    def __setitem__(self, index: int, value: int) -> None:
-        self.data[index] = value
-
-    def ensure(self, size: int) -> None:
-        grow = size - len(self.data)
-        if grow > 0:
-            self.data.extend([self.fill] * grow)
-
-    def as_numpy(self):
-        np = numpy_or_none()
-        if np is None or not len(self.data):
-            return None
-        return np.frombuffer(self.data, dtype=self.data.typecode)

@@ -28,7 +28,6 @@ import collections
 import dataclasses
 import hashlib
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import MachineConfig
@@ -316,6 +315,11 @@ class ExperimentRunner:
     def _run_pool(self, jobs: List[Job], pending: List[int],
                   keys: Dict[int, str],
                   results: List[Optional[RunSummary]]) -> None:
+        # Imported here, not at module level: serial runs then never
+        # load concurrent.futures or multiprocessing.
+        from concurrent.futures import (FIRST_COMPLETED,
+                                        ProcessPoolExecutor, wait)
+
         workers = min(self.jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {

@@ -345,7 +345,11 @@ class NMTree(LogFreeStructure):
         live: Set[int] = set()
         add_live = live.add
         count = 0
-        max_nodes = self._max_nodes
+        # Every visited node's key word is in the image and distinct
+        # nodes have distinct key words, so a longer walk has revisited
+        # a node (a right-edge cycle of equal keys passes the
+        # inclusive bounds).
+        max_nodes = min(self._max_nodes, len(image))
         # (node raw edge, low bound, high bound)
         stack: List[Tuple[Word, int, int]] = [
             (get(self.R + _LEFT_OFF), -(1 << 63), 1 << 63)]

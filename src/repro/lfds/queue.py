@@ -155,9 +155,13 @@ class MichaelScottQueue(LogFreeStructure):
         tail_seen = False
         curr = head if head is not None else NULL
         first = True
+        # Every visited node's value word is in the image and distinct
+        # nodes have distinct value words, so a longer chain has
+        # revisited a node.
+        max_nodes = min(self._max_nodes, len(image))
         while curr != NULL and not problems:
             count += 1
-            if count > self._max_nodes:
+            if count > max_nodes:
                 problems.append("queue chain exceeds bound (cycle?)")
                 break
             value = image.get(field(curr, VALUE))

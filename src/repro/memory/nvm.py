@@ -24,7 +24,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.params import MachineConfig
-from repro.common.tables import numpy_or_none
 
 Word = Optional[int]
 
@@ -131,16 +130,11 @@ class NVMController:
 
         Bit-identical, by construction, to calling :meth:`issue_persist`
         once per ``(line_addr, words)`` item in order with the same
-        ``now``/``after``/``ordered_after`` — the serialization of
-        same-channel persists has a closed form (the *k*-th persist a
-        batch sends to a channel starts one occupancy slot after the
-        previous one), which lets the channel/bandwidth accounting be
-        computed for the whole batch at once, vectorized with numpy
-        when available. Callers whose ordering constraint *changes per
-        record* (e.g. LRP's release chains) cannot batch and keep the
-        per-record path.
+        ``now``/``after``/``ordered_after``; the batch form only hoists
+        the shared constraints and config lookups out of the loop.
+        Callers whose ordering constraint *changes per record* (e.g.
+        LRP's release chains) cannot batch and keep the per-record path.
         """
-        items = list(items)
         issue_time = max(now, after)
         busy = self._busy_until
         num_channels = len(busy)
@@ -150,58 +144,25 @@ class NVMController:
         floor = (ordered_after.complete_time + occupancy
                  if ordered_after is not None else None)
 
-        np = numpy_or_none()
-        if np is not None and len(items) >= 16:
-            addrs = np.fromiter((addr for addr, _ in items),
-                                dtype=np.int64, count=len(items))
-            channels = (addrs // line_bytes) % num_channels
-            base = np.maximum(issue_time,
-                              np.asarray(busy, dtype=np.int64))
-            order = np.argsort(channels, kind="stable")
-            sorted_ch = channels[order]
-            boundary = np.empty(len(items), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = sorted_ch[1:] != sorted_ch[:-1]
-            group_starts = np.flatnonzero(boundary)
-            group_sizes = np.diff(np.append(group_starts, len(items)))
-            ranks = (np.arange(len(items))
-                     - np.repeat(group_starts, group_sizes))
-            starts_sorted = base[sorted_ch] + ranks * occupancy
-            starts = np.empty_like(starts_sorted)
-            starts[order] = starts_sorted
-            completes = starts + persist_cycles
-            if floor is not None:
-                np.maximum(completes, floor, out=completes)
-            counts = np.bincount(channels, minlength=num_channels)
-            new_busy = base + counts * occupancy
-            for channel in np.flatnonzero(counts):
-                busy[channel] = int(new_busy[channel])
-            complete_times = completes.tolist()
-        else:
-            complete_times = []
-            for line_addr, _words in items:
-                channel = (line_addr // line_bytes) % num_channels
-                start = busy[channel]
-                if issue_time > start:
-                    start = issue_time
-                busy[channel] = start + occupancy
-                complete = start + persist_cycles
-                if floor is not None and complete < floor:
-                    complete = floor
-                complete_times.append(complete)
-
         records = []
         seq = self._issue_seq
-        for (line_addr, words), complete in zip(items, complete_times):
-            record = PersistRecord(
+        for line_addr, words in items:
+            channel = (line_addr // line_bytes) % num_channels
+            start = busy[channel]
+            if issue_time > start:
+                start = issue_time
+            busy[channel] = start + occupancy
+            complete = start + persist_cycles
+            if floor is not None and complete < floor:
+                complete = floor
+            records.append(PersistRecord(
                 issue_seq=seq,
                 line_addr=line_addr,
                 words=tuple(sorted(words.items())),
                 issue_time=issue_time,
                 complete_time=complete,
-            )
+            ))
             seq += 1
-            records.append(record)
         self._issue_seq = seq
         self._records.extend(records)
         return records
@@ -238,23 +199,28 @@ class NVMController:
     def baseline_image(self) -> Dict[int, Word]:
         return dict(self._baseline_image)
 
-    def image_after_prefix(self, prefix_len: int) -> Dict[int, Word]:
-        """NVM contents if the machine crashed after ``prefix_len``
-        acknowledged persists (in durability order)."""
+    def _log_prefix(self, prefix_len: int) -> List[PersistRecord]:
+        """The first ``prefix_len`` acknowledged persists (in durability
+        order); ``ValueError`` unless ``0 <= prefix_len <= len(log)``."""
         log = self.persist_log()
         if not 0 <= prefix_len <= len(log):
             raise ValueError(
                 f"prefix_len must be in [0, {len(log)}], got {prefix_len}")
+        return log[:prefix_len]
+
+    def image_after_prefix(self, prefix_len: int) -> Dict[int, Word]:
+        """NVM contents if the machine crashed after ``prefix_len``
+        acknowledged persists (in durability order)."""
         image = dict(self._baseline_image)
-        for record in log[:prefix_len]:
+        for record in self._log_prefix(prefix_len):
             image.update(record.word_values())
         return image
 
     def durable_events_after_prefix(self, prefix_len: int) -> Dict[int, int]:
-        """Word -> youngest persisted store event id, for a crash prefix."""
-        log = self.persist_log()
+        """Word -> youngest persisted store event id, for a crash prefix
+        (same range as :meth:`image_after_prefix`)."""
         events = dict(self._baseline_events)
-        for record in log[:prefix_len]:
+        for record in self._log_prefix(prefix_len):
             events.update(record.word_events())
         return events
 

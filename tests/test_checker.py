@@ -1,5 +1,7 @@
 """Tests for the RP persist-order and consistent-cut checker."""
 
+import pytest
+
 from repro.common.params import MachineConfig
 from repro.consistency.events import MemOrder
 from repro.core.machine import Machine
@@ -103,6 +105,14 @@ class TestCutCheck:
         checker = RPChecker(m.trace, m.nvm)
         assert checker.check_cut(1)       # release without fields
         assert checker.check_cut(2) == [] # both durable: consistent
+
+    def test_prefix_out_of_range_rejected(self):
+        m = _run("lrp", FIG1_OPS)
+        checker = RPChecker(m.trace, m.nvm)
+        log_len = len(m.nvm.persist_log())
+        for prefix in (-1, log_len + 1, log_len + 5):
+            with pytest.raises(ValueError, match="prefix_len must be in"):
+                checker.check_cut(prefix)
 
     def test_durable_index(self):
         m = Machine(CFG, "nop")

@@ -58,12 +58,8 @@ def _fingerprint(result, record):
 
 
 def _run(structure, mechanism, *, fast, record, monkeypatch,
-         observer=None, nudges=None, no_numpy=False, ops=10):
+         observer=None, nudges=None, ops=10):
     monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
-    if no_numpy:
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
     clear_setup_cache()
     config = MachineConfig(record_trace=record, **SMALL_CONFIG)
     return simulate(_spec(structure, ops=ops), mechanism, config,
@@ -184,21 +180,6 @@ def test_every_mechanism_declares_acquire_ignores_event():
         assert cls.acquire_ignores_event is True, name
 
 
-# ----------------------------------------------------------------------
-# numpy-optional: both table backends are bit-identical
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("mechanism", ["bb", "lrp"])
-def test_numpy_fallback_identical(mechanism, monkeypatch):
-    """REPRO_NO_NUMPY=1 (pure-array fallback) changes nothing."""
-    with_numpy = _run("hashmap", mechanism, fast=True, record=False,
-                      monkeypatch=monkeypatch, no_numpy=False)
-    fp_with = _fingerprint(with_numpy, record=False)
-    without = _run("hashmap", mechanism, fast=True, record=False,
-                   monkeypatch=monkeypatch, no_numpy=True)
-    assert fp_with == _fingerprint(without, record=False)
-
-
 def test_paper_scale_sizing():
     """--scale paper runs the paper's element counts outright."""
     from repro.bench.configs import SCALES, figure_spec
@@ -212,23 +193,25 @@ def test_paper_scale_sizing():
             figure_spec(structure, scale="full").ops_per_thread
 
 
-def test_persist_batch_matches_sequential(monkeypatch):
-    """issue_persist_batch == per-record issue_persist, both backends."""
+def test_persist_batch_matches_sequential():
+    """issue_persist_batch == per-record issue_persist, with and
+    without an ``ordered_after`` completion floor."""
     from repro.memory.nvm import NVMController
 
     config = MachineConfig(**SMALL_CONFIG)
     items = [(addr * config.line_bytes,
               {addr * config.line_bytes: (addr, 0)})
-             for addr in range(1, 41)]   # >=16 lines: vectorized path
-    for no_numpy in (False, True):
-        if no_numpy:
-            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+             for addr in range(1, 41)]
+    # A completion floor above the early items' acks and below the
+    # late ones'.
+    gate = NVMController(config).issue_persist(0, {0: (0, 0)}, 300)
+    for ordered_after in (None, gate):
         batched = NVMController(config)
-        records = batched.issue_persist_batch(items, 100, after=120)
+        records = batched.issue_persist_batch(
+            items, 100, after=120, ordered_after=ordered_after)
         sequential = NVMController(config)
-        expected = [sequential.issue_persist(addr, words, 100, after=120)
+        expected = [sequential.issue_persist(addr, words, 100, after=120,
+                                             ordered_after=ordered_after)
                     for addr, words in items]
         assert ([(r.line_addr, r.issue_time, r.complete_time)
                  for r in records]

@@ -145,6 +145,15 @@ class TestNMTreeValidator:
             f"BST ordering violated at {leaf:#x}: key 99 outside ")
         assert report.problems[0].endswith(f", {parent_key - 1}]")
 
+    def test_right_edge_self_loop_stops_within_image_size(self):
+        tree, memory = self._tree()
+        root = memory[field(tree.S, NM_LEFT)]
+        memory[field(root, NM_RIGHT)] = root   # key stays in [key, high]
+        report = tree.validate_image(memory)
+        assert not report.ok
+        assert report.problems == ["tree exceeds node bound (cycle?)"]
+        assert report.reachable_nodes <= len(memory) + 1
+
 
 class TestHashMapValidator:
     """Four buckets over keys 0..11: bucket 1 chains 1 -> 5 -> 9."""
@@ -328,4 +337,7 @@ class TestQueueValidator:
         first = memory[field(head, Q_NEXT)]
         memory[field(first, Q_NEXT)] = head
         memory[queue.tail_ptr] = head
-        assert not queue.validate_image(memory).ok
+        report = queue.validate_image(memory)
+        assert not report.ok
+        assert report.problems == ["queue chain exceeds bound (cycle?)"]
+        assert report.reachable_nodes <= len(memory) + 1
