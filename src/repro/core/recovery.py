@@ -10,12 +10,22 @@ immediately usable, which the per-LFD structural validators check
 RP-enforcing mechanisms (SB/BB/LRP) must pass at every crash point;
 ARP and NOP are expected to fail — that is the paper's Figure 1
 argument, reproduced as an experiment.
+
+A campaign walks its prefixes in ascending order through one crash
+image, which ``NVMController.image_after_prefix(k, since=image)``
+advances by the persists in between. The hashmap, skip list and NM
+tree leave a walk memo on that image at its first validation and later
+re-walk only what the written words can reach. Fallback rule: wherever
+such a delta walk might find a problem or hit a bound, or has no memo,
+the structure's unchanged full walker runs instead, so the full walker
+writes every failing report and stays the reference the delta walks
+are tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Iterable, List
 
 from repro.common.rng import make_rng
 from repro.core.simulator import SimulationResult
@@ -94,28 +104,25 @@ def crash_test(result: SimulationResult, num_points: int = 24,
     """Crash a finished run at many persist-log prefixes and validate
     null recovery of the structure at each."""
     log = result.nvm.persist_log()
-    outcomes = []
-    for prefix in crash_points(len(log), num_points, seed):
-        image = result.nvm.image_after_prefix(prefix)
-        report = result.structure.validate_image(image)
-        # Drop the image before the next one is built, so only one
-        # whole-NVM dict is alive at a time.
-        del image
-        outcomes.append(CrashOutcome(prefix_len=prefix, report=report))
-    return CrashCampaign(mechanism=result.mechanism,
-                         workload=result.spec.structure,
-                         outcomes=outcomes)
+    return _campaign(result, crash_points(len(log), num_points, seed))
 
 
 def exhaustive_crash_test(result: SimulationResult) -> CrashCampaign:
     """Validate every single crash prefix (small runs only)."""
-    log = result.nvm.persist_log()
-    outcomes = [
-        CrashOutcome(prefix_len=k,
-                     report=result.structure.validate_image(
-                         result.nvm.image_after_prefix(k)))
-        for k in range(len(log) + 1)
-    ]
+    return _campaign(result, range(len(result.nvm.persist_log()) + 1))
+
+
+def _campaign(result: SimulationResult,
+              prefixes: Iterable[int]) -> CrashCampaign:
+    """Validate the ascending ``prefixes`` through one crash image,
+    advanced from each prefix to the next."""
+    outcomes = []
+    image = None
+    for prefix in prefixes:
+        image = result.nvm.image_after_prefix(prefix, since=image)
+        outcomes.append(CrashOutcome(
+            prefix_len=prefix,
+            report=result.structure.validate_image(image)))
     return CrashCampaign(mechanism=result.mechanism,
                          workload=result.spec.structure,
                          outcomes=outcomes)

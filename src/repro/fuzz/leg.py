@@ -69,8 +69,9 @@ def run_fuzz_leg(result: SimulationResult,
 
     failures: List[Dict[str, object]] = []
     valid_prefixes: List[int] = []
-    for prefix in sampled:
-        image = result.nvm.image_after_prefix(prefix)
+    image = None
+    for prefix in sampled:   # ascending: one image advances through them
+        image = result.nvm.image_after_prefix(prefix, since=image)
         report = result.structure.validate_image(image)
         if report.ok:
             valid_prefixes.append(prefix)

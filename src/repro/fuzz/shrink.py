@@ -56,9 +56,10 @@ def first_failing_prefix(result: SimulationResult
                          ) -> Optional[Tuple[int, List[str]]]:
     """Smallest crash prefix whose image fails structural validation."""
     log_len = len(result.nvm.persist_log())
+    image = None
     for prefix in range(log_len + 1):
-        report = result.structure.validate_image(
-            result.nvm.image_after_prefix(prefix))
+        image = result.nvm.image_after_prefix(prefix, since=image)
+        report = result.structure.validate_image(image)
         if not report.ok:
             return prefix, [str(p) for p in report.problems[:3]]
     return None

@@ -132,6 +132,41 @@ class LogFreeStructure:
         """Structural null-recovery check over a crash image."""
         raise NotImplementedError
 
+    def _campaign_report(self, image: Dict[int, Word]
+                         ) -> Optional[RecoveryReport]:
+        """The passing report of a memo walk over a campaign image, or
+        None when the full walker must run.
+
+        A structure that supports campaigns defines two walks:
+        ``_record_walk(image)`` returns ``(memo, reachable, live)`` and
+        ``_delta_walk(image, memo, written)`` returns ``(reachable,
+        live)``, where ``written`` holds the addresses written since
+        the memo's prefix. Either returns None wherever the full walker
+        might report a problem or hit its bound, so every failing
+        report comes from the full walker. The first call on an image
+        records the memo, and later calls re-walk only what the
+        written words can reach.
+        """
+        memos = getattr(image, "walk_memos", None)
+        if memos is None:
+            return None
+        entry = memos.get(self)
+        if entry is None:
+            found = self._record_walk(image)
+            if found is None:
+                return None
+            memo, reachable, live = found
+            memos[self] = (image.prefix, memo)
+        else:
+            prefix, memo = entry
+            found = self._delta_walk(image, memo,
+                                     image.written_since(prefix))
+            if found is None:
+                return None
+            reachable, live = found
+        return RecoveryReport(structure=self.name, ok=True, problems=[],
+                              reachable_nodes=reachable, live_keys=live)
+
     def collect_keys(self, memory: Dict[int, Word]) -> Set[int]:
         """Logical key set of the structure in a (complete) memory."""
         raise NotImplementedError

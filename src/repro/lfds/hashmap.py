@@ -9,17 +9,22 @@ stalls are hardest to hide.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from array import array
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lfds.base import (
+    KEY_MIN,
     LogFreeStructure,
     NULL,
     OpGen,
     RecoveryReport,
     Word,
 )
-from repro.lfds.harris import HarrisListOps
+from repro.lfds.harris import KEY, NEXT, VALUE, HarrisListOps
 from repro.memory.address import WORD_BYTES, HeapAllocator
+
+#: Byte offsets of the chain-node words the walkers read.
+_KEY_OFF, _VALUE_OFF, _NEXT_OFF = KEY * 8, VALUE * 8, NEXT * 8
 
 
 class HashMap(LogFreeStructure):
@@ -73,6 +78,9 @@ class HashMap(LogFreeStructure):
                 memory[head_ptr] = NULL
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
+        report = self._campaign_report(image)
+        if report is not None:
+            return report
         heads = range(self.buckets_base,
                       self.buckets_base + self.num_buckets * self._stride,
                       self._stride)
@@ -82,6 +90,94 @@ class HashMap(LogFreeStructure):
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=total,
                               live_keys=live)
+
+    # -- campaign walks (see LogFreeStructure._campaign_report) ----------
+    #
+    # The memo is ``(owner, counts, starts, keys)``: ``owner`` maps
+    # each reachable node to its bucket, bucket ``i`` holds
+    # ``counts[i]`` nodes and its live keys are
+    # ``keys[starts[i]:starts[i + 1]]``. A bucket's walk reads only its
+    # head word and the key, value and next words of its nodes, so the
+    # buckets that own a written word are the only ones to re-walk.
+
+    def _record_walk(self, image: Dict[int, Word]):
+        owner: Dict[int, int] = {}
+        found = self._walk_buckets(image, range(self.num_buckets), owner)
+        if found is None:
+            return None
+        counts, starts, keys = found
+        reachable = sum(counts)
+        if len(owner) != reachable:
+            return None   # a node on two chains: its words feed both
+        return (owner, counts, starts, keys), reachable, set(keys)
+
+    def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
+        owner, counts, starts, keys = memo
+        base, stride = self.buckets_base, self._stride
+        end = base + self.num_buckets * stride
+        dirty = set()
+        for addr in written:
+            if base <= addr < end and not (addr - base) % stride:
+                dirty.add((addr - base) // stride)
+            for node in (addr - _KEY_OFF, addr - _VALUE_OFF,
+                         addr - _NEXT_OFF):
+                if node in owner:
+                    dirty.add(owner[node])
+        buckets = sorted(dirty)
+        found = self._walk_buckets(image, buckets, {})
+        if found is None:
+            return None
+        new_counts, _starts, new_keys = found
+        reachable = (sum(counts) - sum(counts[i] for i in buckets)
+                     + sum(new_counts))
+        live = set(keys)
+        for i in buckets:
+            live.difference_update(keys[starts[i]:starts[i + 1]])
+        live.update(new_keys)
+        return reachable, live
+
+    def _walk_buckets(self, image: Dict[int, Word], buckets: Iterable[int],
+                      owner: Dict[int, int]
+                      ) -> Optional[Tuple[array, array, List[int]]]:
+        """Walk the chains of ``buckets`` (in order) as the full walker
+        does; None if it would report a problem on any of them.
+
+        Returns ``(counts, starts, keys)``: chain ``j`` has
+        ``counts[j]`` nodes and live keys ``keys[starts[j]:starts[j +
+        1]]``. Also maps each node to its bucket in ``owner``.
+        """
+        get = image.get
+        base, stride = self.buckets_base, self._stride
+        num_buckets, max_chain = self.num_buckets, self._max_chain
+        counts = array("l")
+        starts = array("l", [0])
+        keys: List[int] = []
+        add_key = keys.append
+        for index in buckets:
+            raw = get(base + index * stride)
+            if raw is None:
+                return None
+            curr = raw & ~1
+            prev_key = KEY_MIN
+            length = 0
+            while curr:   # != NULL
+                length += 1
+                key = get(curr + _KEY_OFF)
+                nxt = get(curr + _NEXT_OFF)
+                if (length > max_chain or key is None or nxt is None
+                        or get(curr + _VALUE_OFF) is None
+                        or key <= prev_key):
+                    return None
+                if not nxt & 1:
+                    if key % num_buckets != index:
+                        return None
+                    add_key(key)
+                owner[curr] = index
+                prev_key = key
+                curr = nxt & ~1
+            counts.append(length)
+            starts.append(len(keys))
+        return counts, starts, keys
 
     def collect_keys(self, memory: Dict[int, Word]) -> Set[int]:
         return self.validate_image(memory).live_keys or set()

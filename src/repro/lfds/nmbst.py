@@ -25,6 +25,8 @@ initialization is plain.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.events import MemOrder
@@ -340,6 +342,9 @@ class NMTree(LogFreeStructure):
         ``field``/``addr_of``/``is_flagged`` are inlined: this runs once
         per crash point over the whole pre-populated tree.
         """
+        report = self._campaign_report(image)
+        if report is not None:
+            return report
         get = image.get
         problems: List[str] = []
         live: Set[int] = set()
@@ -350,12 +355,7 @@ class NMTree(LogFreeStructure):
         # a node (a right-edge cycle of equal keys passes the
         # inclusive bounds).
         max_nodes = min(self._max_nodes, len(image))
-        # (node raw edge, low bound, high bound)
-        stack: List[Tuple[Word, int, int]] = [
-            (get(self.R + _LEFT_OFF), -(1 << 63), 1 << 63)]
-        right_raw = get(self.R + _RIGHT_OFF)
-        if right_raw is not None:
-            stack.append((right_raw, -(1 << 63), 1 << 63))
+        stack = self._root_edges(get)
         pop, push = stack.pop, stack.append
         while stack and not problems:
             raw, low, high = pop()
@@ -403,6 +403,144 @@ class NMTree(LogFreeStructure):
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=count,
                               live_keys=live)
+
+    # -- campaign walks (see LogFreeStructure._campaign_report) ----------
+    #
+    # The walk visits a node, then its right subtree, then its left
+    # one, so every subtree is a contiguous run of visit indices: an
+    # internal node's right child is the next visit, its left child
+    # follows the right subtree, its leftmost leaf is the run's last
+    # visit and its rightmost leaf the run's first leaf. The memo is
+    # ``(index_of, sizes, keys, live_at, live)``: node -> visit index;
+    # per visit index the subtree's size and the node's key; and the
+    # visit indices and keys of the live leaves, in visit order. A
+    # node's visit reads its key, value, left and right words. An
+    # internal node whose subtree holds no written word walks as in
+    # the memo under any bounds that contain its leftmost and
+    # rightmost keys, so the delta walk adds it in one step.
+
+    def _root_edges(self, get) -> List[Tuple[Word, int, int]]:
+        """A walk's initial stack of (edge word, low bound, high bound)."""
+        stack = [(get(self.R + _LEFT_OFF), -(1 << 63), 1 << 63)]
+        right_raw = get(self.R + _RIGHT_OFF)
+        if right_raw is not None:
+            stack.append((right_raw, -(1 << 63), 1 << 63))
+        return stack
+
+    def _record_walk(self, image: Dict[int, Word]):
+        get = image.get
+        max_nodes = min(self._max_nodes, len(image))
+        index_of: Dict[int, int] = {}
+        keys: List[int] = []
+        # 1 for a leaf, 0 for an internal node until sized below.
+        sizes = array("l")
+        live_at = array("l")
+        live: List[int] = []
+        add_key, add_size = keys.append, sizes.append
+        count = 0
+        stack = self._root_edges(get)
+        pop, push = stack.pop, stack.append
+        while stack:
+            raw, low, high = pop()
+            while True:
+                if raw is None:
+                    return None
+                node = raw & _ADDR_MASK
+                if not node:   # NULL
+                    break
+                if count >= max_nodes:
+                    return None
+                index_of[node] = count
+                count += 1
+                key = get(node + _KEY_OFF)
+                left = get(node + _LEFT_OFF)
+                right = get(node + _RIGHT_OFF)
+                if (key is None or left is None or right is None
+                        or not low <= key <= high):
+                    return None
+                left_null = not left & _ADDR_MASK
+                if left_null != (not right & _ADDR_MASK):
+                    return None
+                add_key(key)
+                if left_null:
+                    if get(node + _VALUE_OFF) is None:
+                        return None
+                    if key < INF0 and not raw & FLAG:
+                        live_at.append(count - 1)
+                        live.append(key)
+                    add_size(1)
+                    break
+                add_size(0)
+                push((left, low, key - 1))
+                raw, low = right, key
+        if len(index_of) != count:
+            return None   # a node reached twice: its words feed both
+        for i in range(count - 1, -1, -1):
+            if not sizes[i]:
+                right_size = sizes[i + 1]
+                sizes[i] = 1 + right_size + sizes[i + 1 + right_size]
+        return (index_of, sizes, keys, live_at, live), count, set(live)
+
+    def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
+        index_of, sizes, keys, live_at, live_order = memo
+        dirty = sorted({index_of[node] for addr in written
+                        for node in (addr - _KEY_OFF, addr - _VALUE_OFF,
+                                     addr - _LEFT_OFF, addr - _RIGHT_OFF)
+                        if node in index_of})
+        get = image.get
+        max_nodes = min(self._max_nodes, len(image))
+        subtrees: List[Tuple[int, int]] = []
+        live: List[int] = []
+        count = 0
+        stack = self._root_edges(get)
+        pop, push = stack.pop, stack.append
+        while stack:
+            raw, low, high = pop()
+            while True:
+                if raw is None:
+                    return None
+                node = raw & _ADDR_MASK
+                if not node:   # NULL
+                    break
+                i = index_of.get(node)
+                if i is not None and sizes[i] > 1:
+                    end = i + sizes[i]
+                    d = bisect_left(dirty, i)
+                    if d == len(dirty) or dirty[d] >= end:   # clean
+                        rightmost = i + 1
+                        while sizes[rightmost] > 1:
+                            rightmost += 1
+                        if low <= keys[end - 1] and keys[rightmost] <= high:
+                            count += end - i
+                            if count > max_nodes:
+                                return None
+                            subtrees.append((i, end))
+                            break
+                count += 1
+                if count > max_nodes:
+                    return None
+                key = get(node + _KEY_OFF)
+                left = get(node + _LEFT_OFF)
+                right = get(node + _RIGHT_OFF)
+                if (key is None or left is None or right is None
+                        or not low <= key <= high):
+                    return None
+                left_null = not left & _ADDR_MASK
+                if left_null != (not right & _ADDR_MASK):
+                    return None
+                if left_null:
+                    if get(node + _VALUE_OFF) is None:
+                        return None
+                    if key < INF0 and not raw & FLAG:
+                        live.append(key)
+                    break
+                push((left, low, key - 1))
+                raw, low = right, key
+        found = set(live)
+        for i, end in subtrees:
+            found.update(live_order[bisect_left(live_at, i):
+                                    bisect_left(live_at, end)])
+        return count, found
 
     def collect_keys(self, memory: Dict[int, Word]) -> Set[int]:
         return self.validate_image(memory).live_keys or set()

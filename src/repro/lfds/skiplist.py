@@ -16,7 +16,9 @@ pattern.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.consistency.events import MemOrder
 from repro.core.thread import cas, load, store
@@ -300,6 +302,9 @@ class SkipList(LogFreeStructure):
         inlined: this runs once per crash point over the whole
         pre-populated structure.
         """
+        report = self._campaign_report(image)
+        if report is not None:
+            return report
         get = image.get
         problems: List[str] = []
         live: Set[int] = set()
@@ -346,6 +351,138 @@ class SkipList(LogFreeStructure):
         return RecoveryReport(structure=self.name, ok=not problems,
                               problems=problems, reachable_nodes=count,
                               live_keys=live)
+
+    # -- campaign walks (see LogFreeStructure._campaign_report) ----------
+    #
+    # The memo is ``(chains, key_of, live_at, live)``.
+    # ``chains[level]`` is the ``(nodes, keys)`` pair of that level's
+    # chain in walk order; keys strictly increase, so a node's position
+    # on a level is a bisection of its key. ``key_of`` maps every
+    # chained node to its key. ``live_at`` and ``live`` hold the level-0
+    # positions and keys of the live nodes. At a level, a node's step
+    # reads its key, value and level words and its link at that level.
+    # A run of positions none of whose words were written walks
+    # exactly as in the memo, so the delta walk jumps over it in one
+    # step.
+
+    def _record_walk(self, image: Dict[int, Word]):
+        get = image.get
+        max_nodes = self._max_nodes
+        chains: List[Tuple[List[int], List[int]]] = []
+        live_at = array("l")
+        live: List[int] = []
+        for level in range(self.max_level):
+            next_off = _NEXT_BASE + (level << 3)
+            raw = get(self.head + next_off)
+            if raw is None:
+                return None
+            nodes: List[int] = []
+            keys: List[int] = []
+            add_node, add_key = nodes.append, keys.append
+            curr = raw & ~1
+            prev_key = KEY_MIN
+            steps = 0
+            while curr:   # != NULL
+                steps += 1
+                key = get(curr + _KEY_OFF)
+                raw_next = get(curr + next_off)
+                if (steps > max_nodes or key is None or raw_next is None
+                        or get(curr + _VALUE_OFF) is None
+                        or get(curr + _LEVEL_OFF) is None
+                        or key <= prev_key):
+                    return None
+                if level == 0 and not raw_next & 1:
+                    live_at.append(steps - 1)
+                    live.append(key)
+                add_node(curr)
+                add_key(key)
+                prev_key = key
+                curr = raw_next & ~1
+            chains.append((nodes, keys))
+        key_of: Dict[int, int] = {}
+        for nodes, keys in chains:
+            key_of.update(zip(nodes, keys))
+        return (chains, key_of, live_at, live), len(chains[0][0]), set(live)
+
+    def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
+        chains, key_of, live_at, live_order = memo
+        dirty: List[Set[int]] = [set() for _ in chains]
+        span = _NEXT_BASE + (len(chains) << 3)
+        for addr in written:
+            for off in range(0, span, 8):
+                key = key_of.get(addr - off)
+                if key is None:
+                    continue
+                levels = (range(len(chains)) if off < _NEXT_BASE
+                          else ((off - _NEXT_BASE) >> 3,))
+                for level in levels:
+                    nodes, keys = chains[level]
+                    p = bisect_left(keys, key)
+                    if p < len(keys) and nodes[p] == addr - off:
+                        dirty[level].add(p)
+        runs: List[Tuple[int, int]] = []
+        new_live: List[int] = []
+        reachable = 0
+        for level, (nodes, keys) in enumerate(chains):
+            steps = self._delta_level(image, level, nodes, keys,
+                                      sorted(dirty[level]),
+                                      runs if level == 0 else None,
+                                      new_live)
+            if steps is None:
+                return None
+            if level == 0:
+                reachable = steps
+        live = set(new_live)
+        for start, stop in runs:
+            live.update(live_order[bisect_left(live_at, start):
+                                   bisect_left(live_at, stop)])
+        return reachable, live
+
+    def _delta_level(self, image: Dict[int, Word], level: int,
+                     nodes: List[int], keys: List[int], dirty: List[int],
+                     runs: Optional[List[Tuple[int, int]]],
+                     live: List[int]) -> Optional[int]:
+        """Walk one level, jumping over the memo's clean runs; returns
+        its step count, or None if the full walker might complain.
+        With ``runs`` (level 0), also collects the jumped runs and the
+        live keys of the stepped nodes."""
+        get = image.get
+        max_nodes = self._max_nodes
+        next_off = _NEXT_BASE + (level << 3)
+        raw = get(self.head + next_off)
+        if raw is None:
+            return None
+        curr = raw & ~1
+        prev_key = KEY_MIN
+        steps = 0
+        while curr:   # != NULL
+            key = get(curr + _KEY_OFF)
+            p = bisect_left(keys, key) if key is not None else len(keys)
+            if p < len(keys) and nodes[p] == curr:
+                d = bisect_left(dirty, p)
+                stop = dirty[d] if d < len(dirty) else len(keys)
+                if stop > p:
+                    # Positions p..stop-1 are untouched: the same walk.
+                    steps += stop - p
+                    if steps > max_nodes or key <= prev_key:
+                        return None
+                    if runs is not None:
+                        runs.append((p, stop))
+                    prev_key = keys[stop - 1]
+                    curr = get(nodes[stop - 1] + next_off) & ~1
+                    continue
+            steps += 1
+            raw_next = get(curr + next_off)
+            if (steps > max_nodes or key is None or raw_next is None
+                    or get(curr + _VALUE_OFF) is None
+                    or get(curr + _LEVEL_OFF) is None
+                    or key <= prev_key):
+                return None
+            if runs is not None and not raw_next & 1:
+                live.append(key)
+            prev_key = key
+            curr = raw_next & ~1
+        return steps
 
     def collect_keys(self, memory: Dict[int, Word]) -> Set[int]:
         return self.validate_image(memory).live_keys or set()

@@ -21,7 +21,7 @@ DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.params import MachineConfig
 
@@ -43,13 +43,52 @@ class PersistRecord:
     issue_time: int
     complete_time: int
 
-    def word_values(self) -> Dict[int, Word]:
-        """Word address -> persisted value for this record."""
-        return {addr: value for addr, (value, _event) in self.words}
-
     def word_events(self) -> Dict[int, int]:
         """Word address -> id of the store whose value persisted."""
         return {addr: event for addr, (_value, event) in self.words}
+
+
+class CrashImage(dict):
+    """The NVM contents after a persist-log prefix: word address -> value.
+
+    :meth:`NVMController.image_after_prefix` makes one and can advance
+    it in place to a later prefix of the same log, so a crash campaign
+    over ascending prefixes copies the baseline only once. Validators
+    may leave one walk memo per structure in ``walk_memos``, keyed by
+    the structure, as ``(prefix, memo)``; :meth:`written_since` names
+    the words that changed since. A change not made by the controller
+    drops every memo (see ``_forgetting`` below).
+    """
+
+    __slots__ = ("nvm", "log", "prefix", "walk_memos")
+
+    def written_since(self, prefix: int) -> Set[int]:
+        """Addresses written by the persists from ``prefix`` up to this
+        image's own prefix."""
+        return {addr for record in self.log[prefix:self.prefix]
+                for addr, _ in record.words}
+
+    def __reduce__(self):
+        # Copies and pickles are plain dicts: the memos stay here.
+        return dict, (dict(self),)
+
+
+def _forgetting(name: str):
+    """``dict.<name>`` that first drops the image's walk memos: a memo
+    can only account for the words that persists wrote."""
+    method = getattr(dict, name)
+
+    def mutate(self, *args, **kwargs):
+        self.walk_memos.clear()
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(CrashImage, _name, _forgetting(_name))
 
 
 class NVMController:
@@ -59,6 +98,8 @@ class NVMController:
         self._config = config
         self._busy_until = [0] * config.num_memory_controllers
         self._records: List[PersistRecord] = []
+        # persist_log() order, kept until the log or baseline changes.
+        self._sorted: Optional[List[PersistRecord]] = None
         self._issue_seq = 0
         # Words considered durable before the measured phase started
         # (the pre-populated data structure).
@@ -173,12 +214,22 @@ class NVMController:
 
     def persist_log(self) -> List[PersistRecord]:
         """Acknowledged persists in completion (i.e. durability) order."""
-        return sorted(self._records,
-                      key=lambda r: (r.complete_time, r.issue_seq))
+        return list(self._durability_order())
+
+    def _durability_order(self) -> List[PersistRecord]:
+        """The persist log, sorted once per state of the log and the
+        baseline. Persists are only ever appended, so a length change
+        means new ones; a reset or a new baseline drops the order."""
+        order = self._sorted
+        if order is None or len(order) != len(self._records):
+            order = self._sorted = sorted(
+                self._records, key=lambda r: (r.complete_time, r.issue_seq))
+        return order
 
     def reset_log(self) -> None:
         """Forget recorded persists (measured phase starts fresh)."""
         self._records.clear()
+        self._sorted = None
 
     def set_baseline_image(self, words: Dict[int, Word],
                            events: Optional[Dict[int, int]] = None, *,
@@ -195,42 +246,59 @@ class NVMController:
         else:
             self._baseline_image = dict(words)
             self._baseline_events = dict(events or {})
+        self._sorted = None   # images of the old baseline cannot advance
 
     def baseline_image(self) -> Dict[int, Word]:
         return dict(self._baseline_image)
 
-    def _log_prefix(self, prefix_len: int) -> List[PersistRecord]:
-        """The first ``prefix_len`` acknowledged persists (in durability
-        order); ``ValueError`` unless ``0 <= prefix_len <= len(log)``."""
-        log = self.persist_log()
+    def _checked_log(self, prefix_len: int) -> List[PersistRecord]:
+        """The persist log in durability order; ``ValueError`` unless
+        ``0 <= prefix_len <= len(log)``."""
+        log = self._durability_order()
         if not 0 <= prefix_len <= len(log):
             raise ValueError(
                 f"prefix_len must be in [0, {len(log)}], got {prefix_len}")
-        return log[:prefix_len]
+        return log
 
-    def image_after_prefix(self, prefix_len: int) -> Dict[int, Word]:
+    def image_after_prefix(self, prefix_len: int,
+                           since: Optional[CrashImage] = None
+                           ) -> CrashImage:
         """NVM contents if the machine crashed after ``prefix_len``
-        acknowledged persists (in durability order)."""
-        image = dict(self._baseline_image)
-        for record in self._log_prefix(prefix_len):
-            image.update(record.word_values())
+        acknowledged persists (in durability order).
+
+        With ``since``, an image this controller made from its current
+        log at a prefix no larger than ``prefix_len``, that image is
+        advanced in place by the persists in between and returned;
+        anything else raises ``ValueError``. Without it, the image is a
+        fresh copy of the baseline.
+        """
+        log = self._checked_log(prefix_len)
+        if since is None:
+            image = CrashImage(self._baseline_image)
+            image.nvm, image.log, image.prefix = self, log, 0
+            image.walk_memos = {}
+        elif (not isinstance(since, CrashImage) or since.nvm is not self
+              or since.log is not log or since.prefix > prefix_len):
+            raise ValueError(
+                f"since must be an image of this controller's current "
+                f"log at a prefix <= {prefix_len}")
+        else:
+            image = since
+        written: Dict[int, Word] = {}
+        for record in log[image.prefix:prefix_len]:
+            for addr, (value, _event) in record.words:
+                written[addr] = value
+        dict.update(image, written)
+        image.prefix = prefix_len
         return image
 
     def durable_events_after_prefix(self, prefix_len: int) -> Dict[int, int]:
         """Word -> youngest persisted store event id, for a crash prefix
         (same range as :meth:`image_after_prefix`)."""
         events = dict(self._baseline_events)
-        for record in self._log_prefix(prefix_len):
+        for record in self._checked_log(prefix_len)[:prefix_len]:
             events.update(record.word_events())
         return events
-
-    def image_at_time(self, time: int) -> Dict[int, Word]:
-        """NVM contents if power failed at cycle ``time``."""
-        image = dict(self._baseline_image)
-        for record in self.persist_log():
-            if record.complete_time <= time:
-                image.update(record.word_values())
-        return image
 
     def final_image(self) -> Dict[int, Word]:
         """NVM contents once every issued persist has completed."""

@@ -323,14 +323,12 @@ def rto_summary(result, num_points: int = 8,
     rtos: List[int] = []
     lost: List[int] = []
     recovered = 0
-    for prefix in points:
+    image = None
+    for prefix in points:   # ascending: one image advances through them
         crash_cycle = log[prefix - 1].complete_time if prefix else 0
-        image = result.nvm.image_after_prefix(prefix)
+        image = result.nvm.image_after_prefix(prefix, since=image)
         words = len(image)
         ok = result.structure.validate_image(image).ok
-        # Drop the image before the next one is built, so only one
-        # whole-NVM dict is alive at a time.
-        del image
         if ok:
             recovered += 1
         rtos.append(RTO_BASE_CYCLES + RTO_SCAN_CYCLES_PER_WORD * words)
