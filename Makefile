@@ -6,7 +6,7 @@ PY       := PYTHONPATH=src python
 PYTEST   := $(PY) -m pytest
 
 .PHONY: help test smoke selftest fuzz-smoke mc-smoke obsfast-smoke \
-        kv-smoke svc-smoke provenance figures trace bench-report \
+        kv-smoke provenance figures trace bench-report \
         profile perf-smoke clean
 
 help:
@@ -30,11 +30,6 @@ help:
 	@echo "                     makespans, exact reservoir quantiles,"
 	@echo "                     engine reconciliation -> BENCH_kv.json,"
 	@echo "                     compared against the stored baseline"
-	@echo "make svc-smoke     - experiment job-service gate: SIGKILL'd"
-	@echo "                     campaign resumes byte-identically with"
-	@echo "                     zero re-execution, killed-worker lease"
-	@echo "                     recovery, shared-cache warm start ->"
-	@echo "                     BENCH_svc.json vs the stored baseline"
 	@echo "make provenance    - persist-provenance flame + diff demo"
 	@echo "                     (capture/fold/diff into provenance-out/)"
 	@echo "make figures       - regenerate the paper figures (quick scale)"
@@ -56,7 +51,10 @@ test:
 # (recovery campaigns, hypothesis property sweeps, cross-mechanism
 # interleaving checks). The provenance pins (trigger taxonomy, exact
 # stall reconciliation, bit-identity) always run here because none of
-# tests/test_provenance.py is marked slow; keep it that way.
+# tests/test_provenance.py is marked slow; keep it that way. The same
+# holds for the killed-run contract in tests/test_exp_runner.py
+# (TestKilledRun: a SIGKILLed figures run resumes from the result
+# cache, and its pool workers exit with it).
 smoke:
 	$(PYTEST) -q -m "not slow"
 
@@ -103,16 +101,6 @@ kv-smoke:
 	$(PY) -m repro.obs kvsmoke --bench-out BENCH_kv.json
 	$(PY) -m repro.bench.history --snapshots BENCH_kv.json
 
-# Job-service crash/recovery gate: the selftest drains a small sweep
-# through the persistent queue, SIGKILLs a live campaign mid-flight
-# and resumes it (byte-identical aggregate, zero re-execution),
-# SIGKILLs a single worker (survivors recover its lease), and warm-
-# starts a second campaign from the shared cache (zero executions).
-# The snapshot is compared against the committed baseline.
-svc-smoke:
-	$(PY) -m repro.exp.service selftest --quiet --output BENCH_svc.json
-	$(PY) -m repro.bench.history --snapshots BENCH_svc.json
-
 # Persist-provenance demo: capture BB and LRP runs of the hashmap,
 # fold the LRP stalls into a flamegraph, and diff the two captures
 # (the EXPERIMENTS.md "Persist provenance" walkthrough).
@@ -147,17 +135,14 @@ perf-smoke:
 		--check-against benchmarks/baselines/BENCH_profile.json
 
 # Cross-run benchmark regression dashboard: refresh the runner
-# snapshot (heartbeats on, so a watcher — or the dashboard's live
-# section — can follow it), compare every BENCH_*.json against
-# benchmarks/baselines/, write BENCH_REPORT.md, and fail on
-# regression. The --live section folds any in-flight sweep's
-# heartbeats into the report.
+# snapshot, compare every BENCH_*.json against benchmarks/baselines/,
+# write BENCH_REPORT.md, and fail on regression.
 bench-report:
-	REPRO_HEARTBEAT_DIR=heartbeats $(PY) -m repro.exp --selftest --quiet --obs
-	$(PY) -m repro.bench.history --output BENCH_REPORT.md --live heartbeats
+	$(PY) -m repro.exp --selftest --quiet --obs
+	$(PY) -m repro.bench.history --output BENCH_REPORT.md
 
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks provenance-out heartbeats
+	rm -rf .pytest_cache .hypothesis .benchmarks provenance-out
 	rm -f BENCH_runner.json BENCH_obsfast.json BENCH_kv.json \
-		BENCH_svc.json BENCH_REPORT.md lrp-trace.json
+		BENCH_REPORT.md lrp-trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

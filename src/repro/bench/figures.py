@@ -9,7 +9,9 @@ whole evaluation from the command line.
 All simulations go through the :mod:`repro.exp` runner: every figure
 row is an independent deterministic job, so the suite fans out across
 CPU cores (``--jobs N``) and re-runs hit the content-addressed result
-cache (disable with ``--no-cache``). Results are identical to serial
+cache (disable with ``--no-cache``). The cache also makes a killed run
+resumable: run the same command again and every cell that finished
+before the kill is a cache hit. Results are identical to serial
 execution by construction; pass ``runner=`` to pin a specific
 :class:`~repro.exp.runner.ExperimentRunner`.
 
@@ -608,15 +610,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                         help="write per-figure wall times (and the "
                              "deterministic Figure 5 makespans) as a "
                              "BENCH snapshot for repro.bench.history")
-    parser.add_argument("--service", default=None, metavar="DIR",
-                        help="execute the figure grid through the "
-                             "experiment job service as a resumable "
-                             "campaign rooted at DIR: jobs survive "
-                             "crashes, re-running the same command "
-                             "resumes, and results stream to "
-                             "DIR/results.jsonl (watch live with "
-                             "'repro.bench.history --live DIR'); "
-                             "--jobs sets the worker count")
     args = parser.parse_args(argv)
     wanted = set(args.figures or
                  ["fig5", "fig6", "fig7", "fig8", "size", "ret",
@@ -626,22 +619,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     provenance = bool(args.provenance_out)
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if args.service:
-        from repro.exp.progress import ProgressReporter
-        from repro.exp.service.worker import ServiceRunner
-
-        # Campaigns always cache (the cache is the resume mechanism);
-        # --no-cache would silently lie, so refuse the combination.
-        if args.no_cache:
-            parser.error("--service campaigns are cache-backed by "
-                         "design; drop --no-cache or pick a fresh "
-                         "campaign directory")
-        runner = ServiceRunner(
-            args.service, workers=jobs,
-            progress=ProgressReporter() if not args.quiet else None)
-    else:
-        runner = make_runner(jobs=jobs, use_cache=not args.no_cache,
-                             verbose=not args.quiet)
+    runner = make_runner(jobs=jobs, use_cache=not args.no_cache,
+                         verbose=not args.quiet)
     set_default_runner(runner)
 
     traced: List[RunSummary] = []

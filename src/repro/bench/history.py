@@ -74,17 +74,17 @@ INFO_MARKERS = ("suite.", "spec.", "cpu_count", "workers", "jobs",
                 # are wall-clock-derived ratios: informational context
                 # for the gated seconds metrics, not gated themselves.
                 "overhead",
-                # Job-service selftest context (BENCH_svc.json): where
-                # the SIGKILL happened to land, how many leases the
-                # recovery swept up, how much stealing balanced the
-                # shards — scheduling happenstance, never gated. The
-                # gated service metrics are ``identical_aggregate``
-                # (contract) and ``reexecutions`` (exact zero).
-                "recovered", "steals", "killed_after", "killed_worker",
-                "done_at_kill", "published_entries",
-                # The shared-cache warm start is gated by its exact
-                # zero-execution count; its few-ms wall time would
-                # flake any percentage tolerance.
+                # KV crash outcomes (BENCH_kv.json
+                # ``kv.<mech>.recovery.recovered`` and
+                # ``recovered_fraction``): how many sampled crash points
+                # recovered, context for the gated crash metrics beside
+                # them (``attempts``, ``lost_requests``, ``rto``).
+                "recovered",
+                # Cache-hit wall times (BENCH_runner.json
+                # ``cache.warm_seconds``, BENCH_figures.json
+                # ``figures.<fig>.warm_seconds``): a few milliseconds of
+                # pickle loading that would flake any percentage
+                # tolerance and says nothing about the simulator.
                 "warm_seconds")
 
 #: Simulated-cycle service-level metrics from the KV-service SLO layer
@@ -363,97 +363,6 @@ def render_dashboard(comparisons: Iterable[SnapshotComparison],
     return "\n".join(lines)
 
 
-def render_live_section(directory: str) -> str:
-    """Markdown section of in-flight sweep jobs from heartbeat files.
-
-    The incremental feed for ``make bench-report``: a sweep launched
-    with ``REPRO_HEARTBEAT_DIR`` set drops per-job status JSON into
-    ``directory``; this folds the same one-line-per-job view the
-    ``--watch`` renderer shows into the dashboard. A missing or empty
-    directory yields an explanatory stub rather than an error, so the
-    section is safe to request unconditionally.
-
-    Pointing ``--live`` at a **campaign directory** (it contains a
-    ``meta.json``) upgrades the section: queue progress per state and
-    shard, the tail of the incremental results journal, and the
-    campaign's own heartbeats.
-    """
-    import time
-
-    from repro.exp import heartbeat
-
-    if os.path.exists(os.path.join(directory, "meta.json")):
-        return _render_campaign_section(directory)
-
-    lines = ["", "## Live sweep", ""]
-    entries = heartbeat.read_heartbeats(directory)
-    if not entries:
-        lines.append(f"No heartbeat files in `{directory}/` — launch a "
-                     f"sweep with `REPRO_HEARTBEAT_DIR={directory}` to "
-                     f"feed this section.")
-    else:
-        watch_lines, stale = heartbeat.render_watch(entries, time.time())
-        lines.append("```")
-        lines.extend(watch_lines)
-        lines.append("```")
-        if stale:
-            lines.append(f"({stale} job(s) STALE — heartbeats stopped "
-                         f"without a terminal status)")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _render_campaign_section(directory: str) -> str:
-    """The ``--live`` section for a job-service campaign directory."""
-    import time
-
-    from repro.exp import heartbeat
-    from repro.exp.service.campaign import open_campaign
-
-    lines = ["", "## Live campaign", ""]
-    try:
-        campaign = open_campaign(directory)
-        status = campaign.status()
-    except (OSError, ValueError, KeyError) as exc:
-        lines.append(f"Unreadable campaign at `{directory}/`: {exc}")
-        lines.append("")
-        return "\n".join(lines)
-    shards = "/".join(str(count)
-                      for count in status.pending_per_shard)
-    lines.append(f"`{status.name}`: **{status.done}/{status.total}** "
-                 f"done, {status.leased} running, {status.pending} "
-                 f"pending (per shard: {shards}), "
-                 f"{status.failed} failed, {status.journaled} "
-                 f"journaled")
-    records = campaign.read_results()
-    if records:
-        lines.append("")
-        lines.append("Latest journaled results:")
-        lines.append("```")
-        for record in records[-8:]:
-            fp = record.get("fingerprint") or {}
-            suffix = "  (cached)" if record.get("cached") else ""
-            lines.append(
-                f"  {fp.get('workload', '?')}/"
-                f"{fp.get('mechanism', '?')}"
-                f"/t{fp.get('num_threads', '?')}  "
-                f"makespan={fp.get('makespan', '?')}{suffix}")
-        lines.append("```")
-    entries = heartbeat.read_heartbeats(campaign.heartbeat_dir)
-    if entries:
-        watch_lines, stale = heartbeat.render_watch(
-            entries, time.time(), directory=campaign.heartbeat_dir)
-        lines.append("")
-        lines.append("```")
-        lines.extend(watch_lines)
-        lines.append("```")
-        if stale:
-            lines.append(f"({stale} job(s) STALE — heartbeats stopped "
-                         f"without a terminal status)")
-    lines.append("")
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -480,14 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help="accept the current snapshots as the new "
                              "baselines")
-    parser.add_argument("--live", metavar="DIR",
-                        help="append a live-jobs section from the "
-                             "heartbeat files in DIR (written by "
-                             "REPRO_HEARTBEAT_DIR-enabled sweeps), or "
-                             "— when DIR is a job-service campaign — "
-                             "its queue progress and results-journal "
-                             "tail; silently skipped when DIR is "
-                             "absent")
     args = parser.parse_args(argv)
 
     snapshots = (list(args.snapshots) if args.snapshots
@@ -512,8 +413,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     comparisons = compare_all(snapshots, args.baseline_dir,
                               args.threshold)
     dashboard = render_dashboard(comparisons, args.threshold)
-    if args.live:
-        dashboard += render_live_section(args.live)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dashboard)

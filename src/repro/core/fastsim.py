@@ -49,7 +49,7 @@ import gc
 import heapq
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.coherence.l1cache import (
     EXCLUSIVE_CODE,
@@ -69,17 +69,6 @@ _WRITE = OpKind.WRITE
 _ACQUIRE = MemOrder.ACQUIRE
 _ACQ_REL = MemOrder.ACQ_REL
 _NEVER = float("inf")
-
-#: Progress callback ``(executed_ops, current_clock)`` invoked every
-#: :data:`HEARTBEAT_OPS` executed ops. Installed by
-#: :mod:`repro.exp.runner` to feed worker heartbeats; the callback must
-#: never mutate simulator state (wall-clock side effects only).
-PROGRESS_HOOK: Optional[Callable[[int, int], None]] = None
-
-#: Op interval between PROGRESS_HOOK invocations. Coarse on purpose:
-#: the hook does wall-clock throttled I/O, and one check per this many
-#: ops keeps the hot loop's cost at a single integer compare.
-HEARTBEAT_OPS = 4096
 
 _MISSING = object()
 
@@ -259,10 +248,6 @@ def _run(scheduler) -> int:
     # attached; every quantum's telemetry setup re-derives it.
     fo_heavy = False
     fast_miss, fast_upgrade = machine.make_fast_path(fastobs=fobs)
-
-    hook = PROGRESS_HOOK
-    hb_next = (scheduler._executed_ops + HEARTBEAT_OPS
-               if hook is not None else _NEVER)
 
     # L1 geometry is config-wide (identical across cores); the
     # per-thread containers are bundled into one tuple so a quantum
@@ -588,9 +573,6 @@ def _run(scheduler) -> int:
 
             clock += latency + compute
             executed += 1
-            if executed >= hb_next:
-                hook(executed, clock)
-                hb_next = executed + HEARTBEAT_OPS
             key = (clock << tshift) | tid
             if key > bound:
                 # Another thread's key is now smaller: yield the core.

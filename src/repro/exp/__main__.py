@@ -10,11 +10,6 @@ writes ``BENCH_runner.json``:
 It asserts that the parallel summaries are bit-identical to the serial
 ones (makespans, stats and persist-log digests) and that the warm
 cache pass is all hits — then records the wall-clock of each mode.
-
-``--watch DIR`` renders the worker heartbeats a sweep writes when run
-with ``REPRO_HEARTBEAT_DIR=DIR`` (see :mod:`repro.exp.heartbeat`),
-refreshing in place until every job reaches a terminal state. Stale
-heartbeats degrade to a STALE marker plus one warning line.
 """
 
 from __future__ import annotations
@@ -29,10 +24,9 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.bench.configs import SCALED_CONFIG, bench_config
-from repro.exp import heartbeat
 from repro.exp.cache import (ResultCache, execute_prune, plan_prune,
                              read_stats_since_marker, write_stats_marker)
-from repro.exp.progress import ProgressReporter, WatchRenderer
+from repro.exp.progress import ProgressReporter
 from repro.exp.runner import ExperimentRunner, Job, RunSummary
 from repro.workloads.harness import WorkloadSpec
 
@@ -174,47 +168,6 @@ def run_selftest(workers: int, output: str, verbose: bool = True,
     return report
 
 
-def run_watch(directory: str, ttl: float, refresh: float,
-              once: bool = False, renderer: Optional[WatchRenderer] = None,
-              ) -> int:
-    """Render heartbeats live until every job is terminal.
-
-    Returns 0 on a clean finish, 1 when the final view contains stale
-    (presumed dead) workers. ``once`` renders a single frame — the
-    scriptable / testable mode.
-
-    A directory with no heartbeats at all (missing, or never populated
-    because the sweep was started without ``REPRO_HEARTBEAT_DIR``) is
-    diagnosed immediately with exit 1 instead of rendering an empty
-    block forever.
-    """
-    renderer = renderer or WatchRenderer()
-    first_read = True
-    while True:
-        entries = heartbeat.read_heartbeats(directory)
-        if first_read and not entries:
-            print(f"watch: no heartbeats in {directory!r} — start the "
-                  f"sweep with {heartbeat.ENV_DIR}={directory} first",
-                  file=sys.stderr)
-            return 1
-        first_read = False
-        lines, stale = heartbeat.render_watch(
-            entries, now=time.time(), ttl=ttl, directory=directory)
-        renderer.render_block(lines)
-        if once:
-            return 1 if stale else 0
-        if heartbeat.all_terminal(entries):
-            return 0
-        if stale and all(
-                heartbeat.is_stale(e, time.time(), ttl)
-                or e.get("state") in heartbeat.TERMINAL_STATES
-                or e.get("state") == "unreadable"
-                for e in entries):
-            # Nothing is alive any more: stop rather than spin forever.
-            return 1
-        time.sleep(refresh)
-
-
 def _parse_duration(text: str) -> float:
     """``"7d"`` / ``"12h"`` / ``"30m"`` / ``"90s"`` / plain seconds."""
     text = text.strip().lower()
@@ -317,13 +270,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv and argv[0] == "cache":
         # Subcommand-style dispatch ahead of the flag parser, so the
         # hygiene CLI can grow options without colliding with the
-        # selftest/watch flags.
+        # selftest flags.
         return run_cache_command(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.exp",
         description="Parallel experiment-runner utilities. "
-                    "(See also: python -m repro.exp cache --help, "
-                    "python -m repro.exp.service --help.)")
+                    "(See also: python -m repro.exp cache --help.)")
     parser.add_argument("--selftest", action="store_true",
                         help="run the serial-vs-parallel-vs-cached "
                              "equivalence and timing suite")
@@ -349,27 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write one persist-provenance capture per "
                              "job into DIR, for 'repro.obs flame' / "
                              "'repro.obs diff' (implies --obs)")
-    parser.add_argument("--watch", default=None, metavar="DIR",
-                        help="live-render the worker heartbeats a sweep "
-                             "writes with REPRO_HEARTBEAT_DIR=DIR; "
-                             "refreshes until every job finishes")
-    parser.add_argument("--watch-once", action="store_true",
-                        help="with --watch: render one frame and exit "
-                             "(exit 1 when stale heartbeats are shown)")
-    parser.add_argument("--watch-ttl", type=float,
-                        default=heartbeat.DEFAULT_TTL, metavar="SEC",
-                        help="seconds without an update before a running "
-                             "heartbeat counts as stale "
-                             "(default: %(default)s)")
-    parser.add_argument("--watch-refresh", type=float, default=1.0,
-                        metavar="SEC",
-                        help="refresh period for --watch "
-                             "(default: %(default)s)")
     args = parser.parse_args(argv)
-
-    if args.watch:
-        return run_watch(args.watch, ttl=args.watch_ttl,
-                         refresh=args.watch_refresh, once=args.watch_once)
 
     if not args.selftest:
         parser.print_help()

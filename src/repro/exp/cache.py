@@ -12,17 +12,10 @@ Keys are built from a canonical JSON rendering of the dataclasses —
 no ``hash()`` involved — so they are stable across processes and
 machines (Python's per-process hash randomization never leaks in).
 
-**Shared caches.** Content addressing makes results location-
-independent, so caches compose: a :class:`ResultCache` constructed
-with ``shared=`` (conventionally ``$REPRO_CACHE_SHARED``, see
-:func:`shared_cache_dir`) treats that directory as a second, slower
-tier. Reads go local first, then shared (a shared hit is copied into
-the local tier — read-through); writes land locally *and* publish to
-the shared directory with the same atomic temp+rename discipline, so
-any number of concurrent campaigns and CI runs can share one
-directory without ever observing a torn entry.
+Every entry is published with an atomic temp+rename, so a reader —
+or a run resumed after a SIGKILL — never observes a torn entry.
 
-**Hygiene.** Long-lived shared caches grow without bound; the
+**Hygiene.** A long-lived cache grows without bound; the
 ``python -m repro.exp cache`` CLI layers ``stats`` (entries, bytes,
 hit-rate since the last ``stats`` call, accumulated from the
 :meth:`ResultCache.flush_stats` sidecar) and ``prune`` (``--older-
@@ -97,19 +90,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-exp"
 
 
-#: Environment variable naming the shared (second-tier) cache
-#: directory. Opt-in at construction: library code passes
-#: ``shared=shared_cache_dir()`` explicitly, so unit tests with a
-#: private temp cache are never surprised by ambient state.
-ENV_SHARED = "REPRO_CACHE_SHARED"
-
-
-def shared_cache_dir() -> Optional[Path]:
-    """``$REPRO_CACHE_SHARED`` as a Path, or None when unset."""
-    env = os.environ.get(ENV_SHARED)
-    return Path(env) if env else None
-
-
 def _atomic_pickle(path: Path, value: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -126,29 +106,16 @@ def _atomic_pickle(path: Path, value: Any) -> None:
 
 
 class ResultCache:
-    """Pickle-per-key store of :class:`~repro.exp.runner.RunSummary`.
+    """Pickle-per-key store of :class:`~repro.exp.runner.RunSummary`."""
 
-    With ``shared=`` set, the shared directory acts as a read-through
-    second tier: local miss -> shared read (copied into the local
-    tier on hit), every write published to both atomically.
-    """
-
-    def __init__(self, root: Optional[Path] = None,
-                 shared: Optional[Path] = None) -> None:
+    def __init__(self, root: Optional[Path] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.shared = Path(shared) if shared is not None else None
         self.hits = 0
         self.misses = 0
-        #: Hits served from the shared tier (subset of ``hits``).
-        self.shared_hits = 0
 
     def _path(self, key: str) -> Path:
         # Two-level fanout keeps directories small under big sweeps.
         return self.root / key[:2] / f"{key}.pkl"
-
-    def _shared_path(self, key: str) -> Path:
-        assert self.shared is not None
-        return self.shared / key[:2] / f"{key}.pkl"
 
     @staticmethod
     def _load(path: Path) -> Optional[Any]:
@@ -162,13 +129,6 @@ class ResultCache:
     def get(self, key: str) -> Optional[Any]:
         """The cached value, or None (corrupt entries count as misses)."""
         value = self._load(self._path(key))
-        if value is None and self.shared is not None:
-            value = self._load(self._shared_path(key))
-            if value is not None:
-                # Read-through: promote into the local tier so the
-                # next lookup never leaves this process's disk.
-                _atomic_pickle(self._path(key), value)
-                self.shared_hits += 1
         if value is None:
             self.misses += 1
             return None
@@ -176,20 +136,8 @@ class ResultCache:
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store atomically (concurrent writers never corrupt entries).
-
-        Publish-on-write: with a shared tier configured, the entry is
-        also published there (same temp+rename discipline), making the
-        result visible to every other campaign sharing the directory.
-        """
+        """Store atomically (concurrent writers never corrupt entries)."""
         _atomic_pickle(self._path(key), value)
-        if self.shared is not None:
-            try:
-                _atomic_pickle(self._shared_path(key), value)
-            except OSError:
-                # A read-only or full shared tier degrades the cache
-                # to local-only; it must never fail the run.
-                pass
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -228,7 +176,7 @@ class ResultCache:
     def flush_stats(self) -> bool:
         """Append this session's hit/miss counters to the sidecar.
 
-        Called at the end of a runner/service session (never per
+        Called at the end of a runner batch (never per
         lookup — the hot path stays file-system-quiet). The ``cache
         stats`` CLI folds the lines since its last marker into a
         hit-rate "since last stats". Returns False when there was
@@ -237,7 +185,7 @@ class ResultCache:
         if not (self.hits or self.misses):
             return False
         record = {"hits": self.hits, "misses": self.misses,
-                  "shared_hits": self.shared_hits, "at": time.time()}
+                  "at": time.time()}
         return _append_stats_line(self.stats_path, record)
 
 
@@ -258,7 +206,7 @@ def _append_stats_line(path: Path, record: Dict[str, object]) -> bool:
 
 def read_stats_since_marker(path: Path) -> Dict[str, object]:
     """Fold sidecar lines recorded after the last ``stats`` marker."""
-    hits = misses = shared_hits = sessions = 0
+    hits = misses = sessions = 0
     try:
         with open(path) as handle:
             for raw in handle:
@@ -269,11 +217,10 @@ def read_stats_since_marker(path: Path) -> Dict[str, object]:
                 if not isinstance(record, dict):
                     continue
                 if record.get("marker"):
-                    hits = misses = shared_hits = sessions = 0
+                    hits = misses = sessions = 0
                     continue
                 hits += int(record.get("hits", 0))
                 misses += int(record.get("misses", 0))
-                shared_hits += int(record.get("shared_hits", 0))
                 sessions += 1
     except OSError:
         pass
@@ -282,7 +229,6 @@ def read_stats_since_marker(path: Path) -> Dict[str, object]:
         "sessions": sessions,
         "hits": hits,
         "misses": misses,
-        "shared_hits": shared_hits,
         "hit_rate": (hits / lookups) if lookups else None,
     }
 

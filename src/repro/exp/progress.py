@@ -78,30 +78,3 @@ class ProgressReporter(NullProgress):
         width = max(1, self._width() - 1)
         self.stream.write(f"\r{line[:width]:<{width}}")
         self.stream.flush()
-
-
-class WatchRenderer(ProgressReporter):
-    """Multi-line live block renderer for ``repro.exp --watch``.
-
-    Reuses the reporter's terminal-width clipping and keeps rewriting
-    a block of lines in place: each refresh moves the cursor back to
-    the top of the previous block (ANSI ``CPL``) and overwrites it,
-    padding every line so leftovers of longer previous lines are
-    cleared. On a dumb pipe the escape does nothing and refreshes
-    simply append — still readable, never corrupted.
-    """
-
-    def __init__(self, stream: Optional[IO[str]] = None) -> None:
-        super().__init__(stream)
-        self._prev_lines = 0
-
-    def render_block(self, lines: list) -> None:
-        width = max(1, self._width() - 1)
-        out = []
-        if self._prev_lines and self.stream.isatty():
-            out.append(f"\x1b[{self._prev_lines}F")
-        for line in lines:
-            out.append(f"{line[:width]:<{width}}\n")
-        self.stream.write("".join(out))
-        self.stream.flush()
-        self._prev_lines = len(lines)

@@ -20,6 +20,13 @@ Determinism: a worker process builds the whole machine from the job's
 spec/config (fresh RNGs seeded from the spec), so parallel execution
 yields bit-identical makespans, stats and persist logs to serial
 execution. ``tests/test_exp_runner.py`` locks this in.
+
+Resume: each summary goes into the cache the moment its job finishes,
+serial or pooled, and the cache publishes every entry with an atomic
+rename. A run killed at any instant therefore resumes by running the
+same jobs again: finished ones come back as cache hits and only the
+rest execute. ``tests/test_exp_runner.py`` pins this on a SIGKILLed
+``repro.bench.figures`` run.
 """
 
 from __future__ import annotations
@@ -28,15 +35,14 @@ import collections
 import dataclasses
 import hashlib
 import os
+import threading
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import MachineConfig
 from repro.common.stats import RunStats
-from repro.core import fastsim
 from repro.core.simulator import SimulationResult, simulate
-from repro.exp import heartbeat
-from repro.exp.cache import (ResultCache, code_version,
-                             shared_cache_dir, stable_digest)
+from repro.exp.cache import ResultCache, code_version, stable_digest
 from repro.exp.progress import NullProgress, ProgressReporter
 from repro.workloads.harness import WorkloadSpec
 
@@ -163,21 +169,6 @@ def summarize(result: SimulationResult) -> RunSummary:
     )
 
 
-def _telemetry_snapshot(observer) -> Optional[Dict[str, int]]:
-    """A tiny live-counter snapshot for the heartbeat file."""
-    if observer is None:
-        return None
-    counters = observer.metrics.counters
-    snapshot = {
-        "persist.lines": counters.get("persist.lines", 0),
-        "stall.cycles": sum(value for name, value in counters.items()
-                            if name.startswith("stall.")),
-    }
-    if observer.spans is not None:
-        snapshot["kv.requests"] = observer.spans.request_count()
-    return snapshot
-
-
 def execute_job(job: Job) -> RunSummary:
     """Run one job to completion (the worker-process entry point)."""
     observer = None
@@ -193,26 +184,8 @@ def execute_job(job: Job) -> RunSummary:
                             spans=job.collect_spans)
     nudges = (dict(job.schedule_nudges)
               if job.schedule_nudges is not None else None)
-    heartbeat_writer = heartbeat.job_writer(job.label())
-    if heartbeat_writer is not None:
-        heartbeat_writer.update("setup")
-
-        def _on_progress(execs: int, clock: int) -> None:
-            heartbeat_writer.update(
-                "running", execs=execs, quantum_clock=clock,
-                telemetry=_telemetry_snapshot(observer))
-
-        fastsim.PROGRESS_HOOK = _on_progress
-    try:
-        result = simulate(job.spec, job.mechanism, job.config,
-                          observer=observer, schedule_nudges=nudges)
-    except BaseException as exc:
-        if heartbeat_writer is not None:
-            heartbeat_writer.update("failed", error=repr(exc))
-        raise
-    finally:
-        if heartbeat_writer is not None:
-            fastsim.PROGRESS_HOOK = None
+    result = simulate(job.spec, job.mechanism, job.config,
+                      observer=observer, schedule_nudges=nudges)
     summary = summarize(result)
     if observer is not None:
         summary.obs = observer.export()
@@ -240,11 +213,29 @@ def execute_job(job: Job) -> RunSummary:
                               seed=job.crash_seed)
         summary.crash_attempts = campaign.attempts
         summary.crash_failures = len(campaign.failures)
-    if heartbeat_writer is not None:
-        heartbeat_writer.update(
-            "done", execs=result.executed_ops, makespan=result.makespan,
-            telemetry=_telemetry_snapshot(observer))
     return summary
+
+
+def _exit_with_parent(runner: Optional[int]) -> None:
+    """Pool-worker initializer: end the worker when the runner dies.
+
+    A worker blocked on the executor's call queue never learns that the
+    runner was SIGKILLed, and would idle as an orphan forever. A daemon
+    thread polls the parent pid and exits once it is no longer the
+    runner's. ``runner`` is the runner's pid, taken before the fork, so
+    a worker re-parented before this ran exits at once. Under the
+    forkserver start method a worker is the server's child, so
+    ``runner`` is None and the worker watches the parent it starts
+    with; the server exits with the runner.
+    """
+    parent = os.getppid() if runner is None else runner
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 class ExperimentRunner:
@@ -283,14 +274,6 @@ class ExperimentRunner:
                 if hit is not None:
                     results[index] = hit
                     self.cache_hits += 1
-                    # A cache hit finishes the job without a worker —
-                    # flush a terminal heartbeat so a watcher never
-                    # shows it as pending/running (e.g. stale files
-                    # left by an interrupted earlier sweep).
-                    writer = heartbeat.job_writer(job.label())
-                    if writer is not None:
-                        writer.update("done", cached=True,
-                                      makespan=hit.makespan)
                     self.progress.job_done(job.label(), cached=True)
                     continue
                 self.cache_misses += 1
@@ -319,9 +302,14 @@ class ExperimentRunner:
         # load concurrent.futures or multiprocessing.
         from concurrent.futures import (FIRST_COMPLETED,
                                         ProcessPoolExecutor, wait)
+        from multiprocessing import get_start_method
 
         workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        runner = (None if get_start_method() == "forkserver"
+                  else os.getpid())
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_exit_with_parent,
+                                 initargs=(runner,)) as pool:
             futures = {
                 pool.submit(execute_job, jobs[index]): index
                 for index in pending
@@ -377,15 +365,9 @@ def set_default_runner(runner: Optional[ExperimentRunner]) -> None:
 
 def make_runner(jobs: Optional[int] = None, use_cache: bool = False,
                 verbose: bool = False) -> ExperimentRunner:
-    """Convenience constructor used by the CLIs.
-
-    A cached runner picks up ``$REPRO_CACHE_SHARED`` as its second
-    tier, so CLI sweeps on one machine share results with every
-    campaign pointed at the same directory.
-    """
+    """Convenience constructor used by the CLIs."""
     return ExperimentRunner(
         jobs=jobs if jobs is not None else default_jobs(),
-        cache=(ResultCache(shared=shared_cache_dir())
-               if use_cache else None),
+        cache=ResultCache() if use_cache else None,
         progress=ProgressReporter() if verbose else None,
     )

@@ -4,20 +4,35 @@ The load-bearing property is determinism: fanning jobs out across
 processes must produce bit-identical summaries (makespans, stats,
 persist-log digests) to serial in-process execution, and cache keys
 must be stable across processes so a cache written by one run is hit
-by the next.
+by the next. On top of that sits the resume contract: a SIGKILLed
+``repro.bench.figures`` run, rerun, re-executes only the cells that
+had not finished, and its pool workers do not outlive it.
 """
 
+import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.bench.configs import SCALED_CONFIG, bench_config
 from repro.bench.figures import run_figure5
-from repro.exp.cache import ResultCache, code_version, stable_digest
+from repro.exp.cache import (
+    ResultCache,
+    code_version,
+    execute_prune,
+    plan_prune,
+    read_stats_since_marker,
+    stable_digest,
+    write_stats_marker,
+)
 from repro.exp.runner import (
     ExperimentRunner,
     Job,
@@ -28,6 +43,10 @@ from repro.core.simulator import simulate, simulate_all_mechanisms
 from repro.workloads.harness import WorkloadSpec
 
 CONFIG = bench_config(SCALED_CONFIG)
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Quick-scale Figure 5: five structures x (nop, sb, bb, lrp).
+FIG5_CELLS = 20
 
 
 def small_jobs(workloads=("queue", "linkedlist"),
@@ -213,3 +232,211 @@ class TestSatelliteFixes:
         as_tuple = simulate_all_mechanisms(spec, ("nop", "lrp"))
         assert set(as_list) == set(as_tuple) == {"nop", "lrp"}
         assert as_list["lrp"].makespan == as_tuple["lrp"].makespan
+
+
+# ----------------------------------------------------------------------
+# Cache stats sidecar and pruning (python -m repro.exp cache)
+# ----------------------------------------------------------------------
+
+class TestCacheStatsAndPrune:
+    def test_flush_stats_accumulates(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        # Older sidecar lines also carry ``shared_hits``; one still
+        # parses as a session.
+        cache.stats_path.write_text(json.dumps(
+            {"hits": 2, "misses": 0, "shared_hits": 2, "at": 0.0}) + "\n")
+        cache.get("aa" * 32)  # miss
+        cache.put("aa" * 32, {"v": 1})
+        cache.get("aa" * 32)  # hit
+        assert cache.flush_stats() is True
+        window = read_stats_since_marker(cache.stats_path)
+        assert (window["hits"], window["misses"],
+                window["sessions"]) == (3, 1, 2)
+        assert "shared_hits" not in window
+
+    def test_flush_stats_noop_without_activity(self, tmp_path):
+        assert ResultCache(tmp_path).flush_stats() is False
+
+    def test_marker_resets_window(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.get("aa" * 32)
+        cache.flush_stats()
+        write_stats_marker(cache.stats_path)
+        window = read_stats_since_marker(cache.stats_path)
+        assert window["sessions"] == 0 and window["hit_rate"] is None
+
+    def _populated(self, tmp_path, ages):
+        cache = ResultCache(tmp_path)
+        now = time.time()
+        for index, age in enumerate(ages):
+            key = f"{index:02d}" + "0" * 62
+            cache.put(key, {"payload": "x" * 100})
+            path = cache._path(key)
+            os.utime(path, (now - age, now - age))
+        return cache, now
+
+    def test_plan_prune_older_than(self, tmp_path):
+        cache, now = self._populated(tmp_path, [10.0, 1000.0, 5000.0])
+        victims = plan_prune(cache, older_than_seconds=500.0, now=now)
+        assert len(victims) == 2
+        # Pure planning: nothing deleted yet.
+        assert cache.entry_count() == 3
+
+    def test_plan_prune_max_bytes_evicts_oldest_first(self, tmp_path):
+        cache, now = self._populated(tmp_path, [10.0, 1000.0, 5000.0])
+        entry = cache.total_bytes() // 3
+        victims = plan_prune(cache, max_bytes=2 * entry, now=now)
+        assert len(victims) == 1
+        assert "02" in victims[0][0].name  # the oldest entry
+
+    def test_execute_prune_unlinks(self, tmp_path):
+        cache, now = self._populated(tmp_path, [10.0, 1000.0, 5000.0])
+        victims = plan_prune(cache, older_than_seconds=500.0, now=now)
+        removed, freed = execute_prune(victims)
+        assert removed == 2 and freed > 0
+        assert cache.entry_count() == 1
+
+
+class TestCacheCLI:
+    def run_cli(self, *argv):
+        from repro.exp.__main__ import main
+
+        return main(list(argv))
+
+    def test_stats_reports_and_resets_window(self, tmp_path, capsys):
+        cache = ResultCache(tmp_path)
+        cache.get("aa" * 32)
+        cache.put("aa" * 32, {"v": 1})
+        cache.get("aa" * 32)
+        cache.flush_stats()
+        assert self.run_cli("cache", "stats", "--dir",
+                            str(tmp_path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["entries"] == 1 and payload["bytes"] > 0
+        assert payload["since_last_stats"]["hits"] == 1
+        assert self.run_cli("cache", "stats", "--dir",
+                            str(tmp_path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["since_last_stats"]["sessions"] == 0
+
+    def test_prune_dry_run_then_apply(self, tmp_path, capsys):
+        cache = ResultCache(tmp_path)
+        cache.put("aa" * 32, {"v": 1})
+        old = time.time() - 10 * 86400
+        os.utime(cache._path("aa" * 32), (old, old))
+        assert self.run_cli("cache", "prune", "--dir", str(tmp_path),
+                            "--older-than", "7d") == 0
+        assert "dry run" in capsys.readouterr().out
+        assert cache.entry_count() == 1  # dry run deleted nothing
+        assert self.run_cli("cache", "prune", "--dir", str(tmp_path),
+                            "--older-than", "7d", "--apply") == 0
+        assert cache.entry_count() == 0
+
+    def test_prune_requires_a_limit(self, tmp_path):
+        assert self.run_cli("cache", "prune", "--dir",
+                            str(tmp_path)) == 2
+
+
+# ----------------------------------------------------------------------
+# Killed runs: resume from the cache, leave no orphaned workers
+# ----------------------------------------------------------------------
+
+def _start_fig5(cache_dir, cwd, *extra):
+    """``figures --figures fig5 --jobs 2`` in a session of its own."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.bench.figures", "--figures", "fig5",
+         "--jobs", "2", "--quiet", *extra],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+             "REPRO_EXP_CACHE_DIR": str(cache_dir)},
+        cwd=str(cwd), stdout=subprocess.DEVNULL, start_new_session=True)
+
+
+def _kill_session(proc):
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestKilledRun:
+    def test_sigkilled_figures_run_resumes_from_cache(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        proc = _start_fig5(cache_dir, tmp_path)
+        try:
+            deadline = time.monotonic() + 300
+            while len(list(cache_dir.rglob("*.pkl"))) < 3:
+                assert proc.poll() is None, "figures exited early"
+                assert time.monotonic() < deadline, "no cells cached"
+                time.sleep(0.2)
+        finally:
+            _kill_session(proc)
+        cached = len(list(cache_dir.rglob("*.pkl")))
+        assert cached < FIG5_CELLS
+
+        timings = tmp_path / "timings.json"
+        rerun = _start_fig5(cache_dir, tmp_path,
+                            "--timings-out", str(timings))
+        try:
+            assert rerun.wait(timeout=600) == 0
+        finally:
+            _kill_session(rerun)
+        snapshot = json.loads(timings.read_text())
+        assert snapshot["figures"]["fig5"]["cache_hits"] == cached
+        assert (snapshot["figures"]["fig5"]["cache_misses"]
+                == FIG5_CELLS - cached)
+        committed = json.loads((ROOT / "BENCH_figures.json").read_text())
+        assert snapshot["fig5_makespan"] == committed["fig5_makespan"]
+
+    def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
+        proc = _start_fig5(tmp_path / "cache", tmp_path, "--no-cache")
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            if not children.exists():
+                pytest.skip("no /proc/<pid>/task/<pid>/children here")
+            deadline = time.monotonic() + 60
+            workers = []
+            while len(workers) < 2:
+                assert proc.poll() is None, "figures exited early"
+                assert time.monotonic() < deadline, "no pool workers"
+                time.sleep(0.05)
+                workers = [int(pid) for pid in children.read_text().split()]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while (any(_running(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert [pid for pid in workers if _running(pid)] == []
+        finally:
+            _kill_session(proc)
+
+    def test_forkserver_workers_outlive_the_watch(self):
+        """A forkserver worker's parent is the server, not the runner,
+        and the parent watch must not end it."""
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no forkserver start method here")
+        script = (
+            "import multiprocessing, sys\n"
+            "from test_exp_runner import fingerprints, small_jobs\n"
+            "from repro.exp.runner import ExperimentRunner\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('forkserver')\n"
+            "    jobs = small_jobs(workloads=('queue',),\n"
+            "                      mechanisms=('nop', 'lrp'))\n"
+            "    pooled = ExperimentRunner(jobs=2).run(jobs)\n"
+            "    serial = ExperimentRunner(jobs=1).run(jobs)\n"
+            "    sys.exit(fingerprints(pooled) != fingerprints(serial))\n")
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": path},
+                              cwd=str(ROOT), timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

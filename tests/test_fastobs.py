@@ -196,7 +196,6 @@ def test_fallback_reason_reaches_run_summary(monkeypatch):
     from repro.exp.runner import Job, execute_job
 
     monkeypatch.setenv("REPRO_FASTSIM", "1")
-    monkeypatch.delenv("REPRO_HEARTBEAT_DIR", raising=False)
     clear_setup_cache()
     job = Job(spec=_small_spec("hashmap"), mechanism="lrp",
               config=MachineConfig(**SMALL_CONFIG), collect_trace=True)

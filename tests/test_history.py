@@ -45,6 +45,12 @@ class TestClassify:
         ("suite.jobs", 20, "info"),
         ("cpu_count", 8, "info"),
         ("workloads", "a,b", "info"),
+        # Crash-point counts beside BENCH_kv's gated crash metrics, and
+        # cache-hit wall times from BENCH_runner / BENCH_figures.
+        ("kv.lrp.recovery.recovered", 8, "info"),
+        ("kv.lrp.recovery.recovered_fraction", 1.0, "info"),
+        ("cache.warm_seconds", 0.01, "info"),
+        ("figures.fig5.warm_seconds", 0.009, "info"),
     ])
     def test_kinds(self, name, value, kind):
         assert classify(name, value) == kind
