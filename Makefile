@@ -6,8 +6,7 @@ PY       := PYTHONPATH=src python
 PYTEST   := $(PY) -m pytest
 
 .PHONY: help test smoke selftest fuzz-smoke mc-smoke obsfast-smoke \
-        kv-smoke provenance figures trace bench-report \
-        profile perf-smoke clean
+        kv-smoke provenance figures trace bench-report clean
 
 help:
 	@echo "make test          - full tier-1 suite"
@@ -22,26 +21,21 @@ help:
 	@echo "                     replay, reduction ratio -> BENCH_mc.json"
 	@echo "make obsfast-smoke - batched-engine telemetry gate: paper-"
 	@echo "                     scale cell plain vs observed (ABBA"
-	@echo "                     median), makespan identity, exact fast-"
-	@echo "                     vs-reference reconciliation across all"
-	@echo "                     7 mechanisms -> BENCH_obsfast.json"
+	@echo "                     median), makespan identity"
+	@echo "                     -> BENCH_obsfast.json"
 	@echo "make kv-smoke      - KV-service SLO gate: spans-on vs spans-"
 	@echo "                     off ABBA overhead, bit-identical"
-	@echo "                     makespans, exact reservoir quantiles,"
-	@echo "                     engine reconciliation -> BENCH_kv.json,"
-	@echo "                     compared against the stored baseline"
+	@echo "                     makespans, exact reservoir quantiles"
+	@echo "                     -> BENCH_kv.json, compared against the"
+	@echo "                     stored baseline"
 	@echo "make provenance    - persist-provenance flame + diff demo"
 	@echo "                     (capture/fold/diff into provenance-out/)"
 	@echo "make figures       - regenerate the paper figures (quick scale)"
 	@echo "make trace         - example Chrome/Perfetto trace"
 	@echo "make bench-report  - benchmark dashboard vs stored baselines"
 	@echo "                     (exits nonzero on regression)"
-	@echo "make profile       - cProfile one figure cell on the batch"
-	@echo "                     engine (top-20 by cumtime/tottime)"
-	@echo "make perf-smoke    - cold fig5 cell through the batch engine,"
-	@echo "                     gated vs benchmarks/baselines/ (fails on"
-	@echo "                     >50% slowdown or any makespan change)"
-	@echo "make clean         - remove caches and generated artifacts"
+	@echo "make clean         - remove caches and untracked generated"
+	@echo "                     artifacts (committed BENCH files stay)"
 
 # Full tier-1 suite (what CI gates on).
 test:
@@ -53,8 +47,8 @@ test:
 # stall reconciliation, bit-identity) always run here because none of
 # tests/test_provenance.py is marked slow; keep it that way. The same
 # holds for the killed-run contract in tests/test_exp_runner.py
-# (TestKilledRun: a SIGKILLed figures run resumes from the result
-# cache, and its pool workers exit with it).
+# (TestKilledRun: a SIGKILLed or Ctrl-C'd figures run resumes from the
+# result cache, and its pool workers exit with it).
 smoke:
 	$(PYTEST) -q -m "not slow"
 
@@ -85,16 +79,15 @@ mc-smoke:
 
 # Telemetry gate for the batched engine: one paper-scale hashmap/lrp
 # cell plain vs observed (metrics + timeline), overhead bounded at
-# 15%, every makespan byte-identical, and the exact fast-vs-reference
-# reconciliation matrix. Writes BENCH_obsfast.json for bench-report.
+# 15% and every makespan byte-identical. Writes BENCH_obsfast.json for
+# bench-report.
 obsfast-smoke:
 	$(PY) -m repro.obs fastsmoke --bench-out BENCH_obsfast.json
 
 # Request-level service gate: the KV workload with span tracking on vs
-# off (ABBA rounds, median ratio), every makespan byte-identical, the
-# streaming SLO reservoirs reconciled exactly against the stored
-# records, and the batch engine's span lanes reconciled against the
-# reference loop. The snapshot is then compared against the committed
+# off (ABBA rounds, median ratio), every makespan byte-identical and
+# the streaming SLO reservoirs reconciled exactly against the stored
+# records. The snapshot is then compared against the committed
 # baseline (p50/p99/p999 and RTO gate as latency metrics, throughput
 # as quality; the makespans are exact anchors).
 kv-smoke:
@@ -121,19 +114,6 @@ figures:
 trace:
 	$(PY) -m repro.obs trace lrp-trace.json --mechanism lrp
 
-# cProfile one cold figure cell (hashmap/lrp, quick scale) on the
-# batch engine. `--engine reference` flips to the per-op heap loop
-# for before/after comparisons; captured listings live in examples/.
-profile:
-	$(PY) -m repro.bench.profile --top 20
-
-# CI perf smoke: one cold fig5 cell through the batch engine, checked
-# against the committed baseline. Makespans are deterministic (any
-# change fails); wall time gets a generous +50% noise allowance.
-perf-smoke:
-	$(PY) -m repro.bench.profile --top 0 \
-		--check-against benchmarks/baselines/BENCH_profile.json
-
 # Cross-run benchmark regression dashboard: refresh the runner
 # snapshot, compare every BENCH_*.json against benchmarks/baselines/,
 # write BENCH_REPORT.md, and fail on regression.
@@ -141,8 +121,9 @@ bench-report:
 	$(PY) -m repro.exp --selftest --quiet --obs
 	$(PY) -m repro.bench.history --output BENCH_REPORT.md
 
+# Untracked outputs only: the BENCH_*.json snapshots and BENCH_REPORT.md
+# that the gates rewrite are committed files.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks provenance-out
-	rm -f BENCH_runner.json BENCH_obsfast.json BENCH_kv.json \
-		BENCH_REPORT.md lrp-trace.json
+	rm -rf .pytest_cache .hypothesis .benchmarks .perfbench provenance-out
+	rm -f BENCH_kv.json lrp-trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

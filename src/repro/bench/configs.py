@@ -21,9 +21,9 @@ ratios that drive the results:
 Three scales are provided: ``quick`` (seconds per experiment, used by
 the pytest benchmarks), ``full`` (minutes, closer to paper ratios) and
 ``paper`` (the paper's element counts outright with hundreds of ops
-per thread — sized for overnight sweeps on the batch engine, not for
-interactive use; see ``repro.bench.profile`` for per-cell timing and
-full-sweep projection).
+per thread — sized for batch sweeps, not for interactive use;
+``python -m repro.obs fastsmoke --workload W --rounds 1`` times one
+paper-scale cell).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ records paper-vs-measured for every figure.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.configs import (
@@ -579,9 +580,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--scale", choices=("quick", "full", "paper"),
                         default="quick",
                         help="workload sizing tier; 'paper' runs the "
-                             "paper's element counts outright (hours — "
-                             "size a sweep with repro.bench.profile "
-                             "first)")
+                             "paper's element counts outright (time "
+                             "one paper-scale cell before a sweep with "
+                             "'python -m repro.obs fastsmoke "
+                             "--workload W --rounds 1')")
     parser.add_argument("--figures", nargs="*", default=None,
                         choices=("fig5", "fig6", "fig7", "fig8", "size",
                                  "ret", "recovery", "kv"),
@@ -762,4 +764,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except KeyboardInterrupt:
+        # Cells that finished before the interrupt are in the result
+        # cache, so rerunning the same command resumes the sweep.
+        print("repro.bench.figures: interrupted; rerun the same "
+              "command to resume from the result cache", file=sys.stderr)
+        sys.exit(130)

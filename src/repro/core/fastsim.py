@@ -1,17 +1,20 @@
-"""Batched quantum execution engine — the scheduler's fast path.
+"""The scheduler loop: batched quanta of smallest-clock-first execution.
 
-The reference loop in :meth:`repro.core.scheduler.Scheduler.run` pays
-a heap pop/push and a full :meth:`Machine.execute` dispatch per memory
-operation. This engine produces the *same execution bit for bit* while
-doing neither, by exploiting two structural facts:
+The scheduler always runs the runnable thread with the smallest
+``(clock, thread_id)`` key; memory operations perform atomically in
+that (simulated) timestamp order, which yields a sequentially
+consistent execution whose timing reflects contention, persist stalls
+and cache behaviour. This module is the only loop that computes that
+interleaving; :meth:`repro.core.scheduler.Scheduler.run` calls it for
+every run. It avoids a heap pop/push and a full :meth:`Machine.execute`
+dispatch per memory operation by exploiting two structural facts:
 
-* **Quantum batching.** The scheduler always runs the thread with the
-  smallest ``(clock, thread_id)`` key, and executing an op only ever
-  *grows* that thread's clock. So after an op, if the thread's new key
-  is still below the smallest key of every other thread (the top of
-  the heap, unchanged while we stay inline), the reference loop would
-  provably pick the same thread again — we keep feeding its generator
-  without touching the heap until its clock crosses that bound.
+* **Quantum batching.** Executing an op only ever *grows* the running
+  thread's clock. So after an op, if the thread's new key is still
+  below the smallest key of every other thread (the top of the heap,
+  unchanged while we stay inline), the scheduler would pick the same
+  thread again — we keep feeding its generator without touching the
+  heap until its clock crosses that bound.
 
 * **Inline hot ops.** An L1 hit resolves entirely from the flat tables
   (`state_codes`/`lru` + the per-set slot dict); a plain read with
@@ -22,34 +25,37 @@ doing neither, by exploiting two structural facts:
   ``on_acquire`` hook is structurally a no-op (detected by method
   identity, so mechanism classes need no cooperation); everything else
   — writes, RMWs, misses, upgrades — funnels into the same
-  ``Machine`` methods the reference path uses.
+  ``Machine`` methods :meth:`Machine.execute` uses.
 
-The engine accepts exactly one observation channel: an Observer
-carrying metrics (and optionally a timeline and/or request spans) —
-metric aggregates are accumulated in the flat tables of
-:class:`repro.obs.fastobs.FastObs` and flushed at run end, reconciling
-counter-for-counter with the reference loop, while request-boundary
-clocks append straight into the :class:`repro.obs.spans.SpanTracker`
-lanes. Everything else still forces the reference path:
-schedule nudges, op tracing, provenance, and the tests' ``max_ops``
-valve. :func:`check` names the refusal (a :class:`Refusal` enum,
-surfaced as the ``fastsim_fallback`` diagnostic on results and
-printable with ``REPRO_FASTSIM_DEBUG=1``); fuzz replays therefore
-always take the reference min-scan loop, and the fast-vs-reference
-equivalence matrix (tests/test_fastsim.py, tests/test_fastobs.py)
-pins that both paths agree on stats, persist streams, coverage maps
-and the full obs export. Set ``REPRO_FASTSIM=0`` to force the
-reference loop everywhere.
+Two extensions ride on the quantum boundary and the per-op dispatch:
+
+* **Schedule nudges** (:meth:`Scheduler.set_nudges`, the fuzzer's
+  hook). A quantum also ends when the executed-op count reaches the
+  next nudged decision index; that decision runs the thread with the
+  rank-th smallest key, modulo the runnable count, for one op. A pick
+  whose generator has finished executes no op, so the same decision
+  index is taken again among the remaining threads.
+
+* **Observers.** Metrics, timeline windows and the ``sched.*``
+  counters accumulate in the flat tables of
+  :class:`repro.obs.fastobs.FastObs` and flush into the Observer at run
+  end; request-boundary clocks append straight into the
+  :class:`repro.obs.spans.SpanTracker` lanes. A trace or provenance
+  collector adds one per-op branch: the memory op runs through
+  :meth:`Machine.execute`, which names the op's provenance site and
+  emits the coherence instants, and the loop emits the op's
+  ``core<tid>`` span.
+
+``tests/engine_digests.py`` pins stats, persist streams, memory
+images, recorded events, observer exports, nudged schedules and span
+lanes against digests recorded with the per-op loops this engine
+replaced.
 """
 
 from __future__ import annotations
 
-import enum
 import gc
 import heapq
-import os
-import sys
-from typing import Optional
 
 from repro.coherence.l1cache import (
     EXCLUSIVE_CODE,
@@ -69,71 +75,11 @@ _WRITE = OpKind.WRITE
 _ACQUIRE = MemOrder.ACQUIRE
 _ACQ_REL = MemOrder.ACQ_REL
 _NEVER = float("inf")
-
-_MISSING = object()
-
-
-class Refusal(enum.Enum):
-    """Machine-readable reasons the batch engine declines a run.
-
-    ``value`` is the stable string recorded as the
-    ``fastsim_fallback`` diagnostic on
-    :class:`~repro.core.simulator.SimulationResult` and
-    :class:`~repro.exp.runner.RunSummary`.
-    """
-
-    ENV_DISABLED = "env-disabled"
-    SCHEDULE_NUDGES = "schedule-nudges"
-    MAX_OPS = "max-ops"
-    OBSERVER_TRACE = "observer-trace"
-    OBSERVER_PROVENANCE = "observer-provenance"
-    OBSERVER_UNKNOWN = "observer-unknown"
-
-
-def check(scheduler) -> Optional[Refusal]:
-    """Why the batch engine must refuse this run — None when eligible.
-
-    Metrics/timeline/spans observers are accepted (FastObs batches
-    the aggregates, span lanes are plain appends); trace or provenance
-    collection — and observer objects
-    that don't expose the Observer surface at all — still force the
-    reference loop, as do schedule nudges and the ``max_ops`` valve.
-    With ``REPRO_FASTSIM_DEBUG=1`` the refusal is printed to stderr.
-    """
-    refusal = _check(scheduler)
-    if (refusal is not None
-            and os.environ.get("REPRO_FASTSIM_DEBUG") == "1"):
-        print(f"[fastsim] taking the reference loop: {refusal.value}",
-              file=sys.stderr)
-    return refusal
-
-
-def _check(scheduler) -> Optional[Refusal]:
-    if os.environ.get("REPRO_FASTSIM", "1") == "0":
-        return Refusal.ENV_DISABLED
-    if scheduler._nudges is not None:
-        return Refusal.SCHEDULE_NUDGES
-    if scheduler.max_ops is not None:
-        return Refusal.MAX_OPS
-    obs = scheduler.machine.obs
-    if obs is None:
-        return None
-    trace = getattr(obs, "trace", _MISSING)
-    provenance = getattr(obs, "provenance", _MISSING)
-    if (trace is _MISSING or provenance is _MISSING
-            or getattr(obs, "metrics", None) is None
-            or not hasattr(obs, "timeline")):
-        return Refusal.OBSERVER_UNKNOWN
-    if provenance is not None:
-        return Refusal.OBSERVER_PROVENANCE
-    if trace is not None:
-        return Refusal.OBSERVER_TRACE
-    return None
-
-
-def eligible(scheduler) -> bool:
-    """Whether the batch engine may run this scheduler's workload."""
-    return check(scheduler) is None
+#: Subtracted from a nudged pick's thread id to float its heap entry to
+#: the root: the result is negative, below every real key, and since
+#: this is a multiple of every ``2**tshift``, ``entry & tmask`` still
+#: yields the thread id.
+_FRONT = 1 << 62
 
 
 def acquire_hook_is_noop(mechanism) -> bool:
@@ -152,10 +98,7 @@ def acquire_hook_is_noop(mechanism) -> bool:
 
 
 def run(scheduler) -> int:
-    """Execute the scheduler's threads to completion; the makespan.
-
-    Caller guarantees :func:`eligible` returned True.
-    """
+    """Execute the scheduler's threads to completion; the makespan."""
     # The loop allocates heavily (ops, events, records) but the only
     # reference cycles it creates are line<->cache attachments, which
     # refcounting alone reclaims once detached; pausing the cyclic
@@ -205,6 +148,7 @@ def _run(scheduler) -> int:
     do_write = machine._do_write
     do_rmw = machine._do_rmw
     coherence_access = machine.coherence_access
+    execute = machine.execute
     l1s = machine.fabric.l1s
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
 
@@ -217,9 +161,8 @@ def _run(scheduler) -> int:
         # Request spans (repro.obs.spans): raw per-thread boundary and
         # event-mark lists written directly — one identity compare and
         # two appends per boundary op, nothing else on the hot path.
-        spans = getattr(obs, "spans", None)
-        if spans is not None:
-            sp_lanes, sp_events = spans.lanes(len(threads))
+        if obs.spans is not None:
+            sp_lanes, sp_events = obs.spans.lanes(len(threads))
         else:
             sp_lanes = sp_events = None
         fobs = FastObs(obs, config.num_cores, l1s[0]._assoc)
@@ -241,9 +184,17 @@ def _run(scheduler) -> int:
         tl_ma = fobs.tl_mem_acc
         tl_co = fobs.tl_compute_out
         tl_mo = fobs.tl_mem_out
+        # Trace and provenance collectors see every op: its memory
+        # access runs through Machine.execute and the op gets a span.
+        narrate = obs.trace is not None or obs.provenance is not None
+        obs_span = obs.span
     else:
         fobs = None
         sp_lanes = sp_events = None
+        narrate = False
+    # The kind the first dispatch test inlines: under narration no read
+    # is inlined, so reads fall through to the Machine.execute branch.
+    inline_read = None if narrate else _READ
     # True only inside a boundary-straddling quantum with a timeline
     # attached; every quantum's telemetry setup re-derives it.
     fo_heavy = False
@@ -288,12 +239,31 @@ def _run(scheduler) -> int:
     heapq.heapify(heap)
     nheap = len(heap)
     executed = scheduler._executed_ops
+    # Schedule nudges: ``stop`` is the next nudged decision index (-1
+    # once none is left), ``after`` chains each to its successor, and
+    # ``taken`` is the index of the last nudge applied.
+    nudges = scheduler._nudges or {}
+    stops = sorted(index for index in nudges if index >= executed)
+    after = dict(zip(stops, stops[1:] + [-1]))
+    stop = stops[0] if stops else -1
+    taken = -1
     # The running thread's (stale) entry stays at heap[0] for the whole
     # quantum: a yield is then one heapreplace (single sift) instead of
     # a heappush + heappop pair, and the scheduling bound — the
     # smallest key among the *other* threads — is the smaller of the
     # root's children.
     while nheap:
+        if executed == stop:
+            rank = nudges[stop] % nheap
+            if rank:
+                # Float the rank-th smallest key to the root. Its key
+                # already exceeds the bound (the smallest key), so the
+                # quantum below runs exactly one op of that thread.
+                key = sorted(heap)[rank]
+                heap[heap.index(key)] = (key & tmask) - _FRONT
+                heapq.heapify(heap)
+            taken = stop
+            stop = after[stop]
         tid = heap[0] & tmask
         thread, gen, stats, l1, sets, codes, lru, lines = tstate[tid]
         clock = thread.clock
@@ -376,7 +346,7 @@ def _run(scheduler) -> int:
                 # boundary 0 so the first op crosses.
                 nb_m = (cw_m + 1) * fo_interval if cw_m >= 0 else 0
 
-        # Resume the coroutine exactly as SimThread.next_op would.
+        # Resume the coroutine with the result of its last op.
         try:
             if thread._started:
                 op = gen.send(thread._pending_result)
@@ -389,11 +359,15 @@ def _run(scheduler) -> int:
             thread.done = True
             heappop(heap)
             nheap -= 1
+            if executed == taken:
+                # A pick at a nudged decision executed no op: that
+                # decision is taken again among the remaining threads.
+                stop = taken
             continue
 
         while True:
             kind = op.kind
-            if kind is _READ:
+            if kind is inline_read:
                 addr = op.addr
                 line_addr = addr & line_mask
                 if set_mask is not None:
@@ -452,12 +426,19 @@ def _run(scheduler) -> int:
                     fo_nw[tid] += 1
                     fo_wl[tid] += latency
                     if sp_lanes is not None and op.site is _SPAN_BOUNDARY:
-                        # ev_count here equals the reference loop's
-                        # trace._count at the same decision: the batch
-                        # engine executes ops in the identical global
-                        # order, so event ids are assigned identically.
+                        # The request's completion cycle (the op's
+                        # pre-advance clock) and its event frontier.
                         sp_lanes[tid].append(clock)
                         sp_events[tid].append(ev_count)
+                    if narrate:
+                        obs_span(f"core{tid}", "WORK", clock,
+                                 latency + compute, cat="op")
+            elif narrate:
+                trace._count = ev_count
+                result, latency = execute(tid, op, clock)
+                ev_count = trace._count
+                obs_span(f"core{tid}", kind.name, clock, latency + compute,
+                         cat="op")
             else:
                 addr = op.addr
                 line_addr = addr & line_mask
@@ -480,8 +461,8 @@ def _run(scheduler) -> int:
                             tid, op, lines[slot], clock, l1_hit_cycles)
                         ev_count = trace._count
                     elif code == SHARED_CODE:
-                        # The reference path's lookup touches the LRU
-                        # before the S->M upgrade.
+                        # CoherenceFabric.access's lookup touches the
+                        # LRU before the S->M upgrade.
                         tick = l1._tick + 1
                         l1._tick = tick
                         lru[slot] = tick
@@ -544,12 +525,12 @@ def _run(scheduler) -> int:
                         ev_count = trace._count
 
             if fo_heavy:
-                # Mirror the reference loop's per-op narration against
-                # the *pre-advance* clock: WORK charges latency+compute
-                # to the compute stream; a memory op charges compute to
-                # compute and the full latency (all mechanism stalls
-                # included) to mem. Zero-valued window touches still
-                # create window entries, exactly like Observer.tick.
+                # Per-op timeline narration against the *pre-advance*
+                # clock: WORK charges latency+compute to the compute
+                # stream; a memory op charges compute to compute and
+                # the full latency (all mechanism stalls included) to
+                # mem. Zero-valued window touches still create window
+                # entries, exactly like Observer.tick.
                 if kind is _WORK:
                     value = latency + compute
                 else:
@@ -574,8 +555,9 @@ def _run(scheduler) -> int:
             clock += latency + compute
             executed += 1
             key = (clock << tshift) | tid
-            if key > bound:
-                # Another thread's key is now smaller: yield the core.
+            if key > bound or executed == stop:
+                # Another thread's key is now smaller, or the next
+                # decision is nudged: yield the core.
                 thread.clock = clock
                 thread._pending_result = result
                 heapreplace(heap, key)
@@ -645,9 +627,8 @@ def _run(scheduler) -> int:
             # clock delta: every op advanced the clock by
             # latency + compute, WORK latencies are compute charges
             # (tallied in fo_wl), everything else is memory latency —
-            # so cc = fo_wl + ops * compute and mc is the rest. This
-            # is exactly the reference loop's per-op narration summed,
-            # at zero per-op cost.
+            # so cc = fo_wl + ops * compute and mc is the rest: the
+            # per-op narration summed, at zero per-op cost.
             for t in threads:
                 k = t.thread_id
                 s = stats_list[k]

@@ -163,8 +163,8 @@ class Machine:
 
         The batch engine's slow-op path: exactly the fabric/hook prefix
         of :meth:`execute` — same stats, same hook order, same
-        assertions, and (when an Observer is attached, as it is on
-        fast-path telemetry runs) the same ``coh.*`` narration.
+        assertions, and (when an Observer is attached) the same
+        ``coh.*`` narration.
         Returns the requester's now-valid line and the accumulated
         latency; the caller applies the operation itself
         (:meth:`_do_read` & friends or the batch engine's inline
@@ -234,8 +234,8 @@ class Machine:
         reads on this path. ``fast_upgrade`` mirrors
         :meth:`CoherenceFabric._upgrade` (an upgrade never demotes an
         owner or evicts a victim, so only the invalidation count
-        reaches stats). Both are pinned against the reference path by
-        the fast-vs-reference equivalence tests.
+        reaches stats). Both are pinned by the golden run digests of
+        tests/engine_digests.py, recorded on the layered path.
 
         With ``fastobs`` (a :class:`repro.obs.fastobs.FastObs`) the
         closures also bump its flat coherence slots, replicating the

@@ -95,10 +95,6 @@ class SimulationResult:
     #: Total operations executed (= schedule decisions taken) — the
     #: decision-index space the fuzzer's schedule nudges range over.
     executed_ops: int = 0
-    #: Why the batch engine fell back to the reference loop (the
-    #: :class:`repro.core.fastsim.Refusal` value string), or None when
-    #: the fast path ran.
-    fastsim_fallback: Optional[str] = None
 
     @property
     def trace(self):
@@ -146,8 +142,7 @@ def simulate(spec: WorkloadSpec,
     ``observer`` attaches the :mod:`repro.obs` instrumentation; the
     default (None) leaves every hook disabled and the run bit-identical
     to an unobserved one. ``schedule_nudges`` installs the fuzzer's
-    priority perturbations (:meth:`Scheduler.set_nudges`); None keeps
-    the scheduler on its default hot path.
+    priority perturbations (:meth:`Scheduler.set_nudges`).
     """
     config = config or DEFAULT_CONFIG
     if spec.num_threads > config.num_cores:
@@ -185,13 +180,11 @@ def simulate(spec: WorkloadSpec,
         num_threads=spec.num_threads,
         per_core=machine.stats[:spec.num_threads],
     )
-    refusal = scheduler.fastsim_refusal
     return SimulationResult(
         spec=spec, mechanism=machine.mechanism.name, config=config,
         machine=machine, structure=structure, outcomes=outcomes,
         stats=stats, makespan=makespan,
-        executed_ops=scheduler.executed_ops,
-        fastsim_fallback=refusal.value if refusal is not None else None)
+        executed_ops=scheduler.executed_ops)
 
 
 def simulate_all_mechanisms(

@@ -26,7 +26,10 @@ serial or pooled, and the cache publishes every entry with an atomic
 rename. A run killed at any instant therefore resumes by running the
 same jobs again: finished ones come back as cache hits and only the
 rest execute. ``tests/test_exp_runner.py`` pins this on a SIGKILLed
-``repro.bench.figures`` run.
+``repro.bench.figures`` run, and on one interrupted with Ctrl-C
+(SIGINT to its process group): pool workers ignore SIGINT, and the
+runner terminates them and re-raises ``KeyboardInterrupt`` for the
+CLI to report in one line.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import collections
 import dataclasses
 import hashlib
 import os
+import signal
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,8 +81,7 @@ class Job:
     # for its RTO metering. Bit-identical and batch-engine-compatible.
     collect_spans: bool = False
     # Schedule perturbation (repro.fuzz): ((decision_index, rank), ...)
-    # priority nudges installed on the scheduler before the run. None
-    # keeps the scheduler's optimized heap path.
+    # priority nudges installed on the scheduler before the run.
     schedule_nudges: Optional[Tuple[Tuple[int, int], ...]] = None
     # Fuzzing leg (repro.fuzz.leg.FuzzLegSpec): when set, the worker
     # additionally harvests a coverage map (implies provenance
@@ -130,10 +133,8 @@ class RunSummary:
     #: Fuzzing-leg payload (coverage list, crash outcomes, executed
     #: ops); ``None`` unless the job carried a ``fuzz`` spec.
     fuzz: Optional[Dict[str, object]] = None
-    #: Why the batch engine fell back to the reference loop (a
-    #: :class:`repro.core.fastsim.Refusal` value string, e.g.
-    #: ``"observer-trace"``) — None when the fast path ran. Printable
-    #: live with ``REPRO_FASTSIM_DEBUG=1``.
+    #: Always None: the batch engine is the only scheduler loop, so no
+    #: run falls back. Kept because benchmark records carry the field.
     fastsim_fallback: Optional[str] = None
 
 
@@ -165,7 +166,6 @@ def summarize(result: SimulationResult) -> RunSummary:
         persist_count=result.nvm.persist_count,
         persist_log_digest=hasher.hexdigest(),
         mechanism_counters=mechanism_counters,
-        fastsim_fallback=result.fastsim_fallback,
     )
 
 
@@ -217,7 +217,12 @@ def execute_job(job: Job) -> RunSummary:
 
 
 def _exit_with_parent(runner: Optional[int]) -> None:
-    """Pool-worker initializer: end the worker when the runner dies.
+    """Pool-worker initializer: leave Ctrl-C to the runner, and end the
+    worker when the runner dies.
+
+    Ctrl-C signals the whole process group, and the runner alone
+    handles it (see :meth:`ExperimentRunner._run_pool`); an idle worker
+    would otherwise die printing a ``KeyboardInterrupt`` traceback.
 
     A worker blocked on the executor's call queue never learns that the
     runner was SIGKILLed, and would idle as an orphan forever. A daemon
@@ -228,6 +233,7 @@ def _exit_with_parent(runner: Optional[int]) -> None:
     ``runner`` is None and the worker watches the parent it starts
     with; the server exits with the runner.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid() if runner is None else runner
 
     def watch() -> None:
@@ -315,15 +321,24 @@ class ExperimentRunner:
                 for index in pending
             }
             outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = futures[future]
-                    results[index] = future.result()
-                    self._store(keys.get(index), results[index])
-                    self.progress.job_done(jobs[index].label(),
-                                           cached=False)
+            try:
+                while outstanding:
+                    done, outstanding = wait(outstanding,
+                                             return_when=FIRST_COMPLETED)
+                    for future in done:
+                        index = futures[future]
+                        results[index] = future.result()
+                        self._store(keys.get(index), results[index])
+                        self.progress.job_done(jobs[index].label(),
+                                               cached=False)
+            except KeyboardInterrupt:
+                # The workers ignore SIGINT: end them now instead of
+                # after their current and queued jobs. Finished jobs
+                # are already in the cache.
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
 
     def _store(self, key: Optional[str],
                summary: Optional[RunSummary]) -> None:

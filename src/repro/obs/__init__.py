@@ -89,7 +89,7 @@ class Observer:
             ProvenanceTracker() if provenance else None)
         # Request spans (repro.obs.spans): boundary clocks of service
         # workload requests. Flat per-thread lists, so the batch
-        # engine records them without leaving its fast path.
+        # engine records them with two appends per request.
         self.spans: Optional[SpanTracker] = (
             SpanTracker() if spans else None)
 

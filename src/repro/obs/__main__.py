@@ -24,9 +24,8 @@ Subcommands:
   and report first divergence, per-site deltas, and persists
   avoided-vs-moved;
 * ``fastsmoke`` — gate the batched engine's telemetry: one paper-scale
-  cell plain vs observed (interleaved min-of-N wall times), makespan
-  identity, exact fast-vs-reference reconciliation across the full
-  mechanism matrix, overhead bounded by ``--overhead-limit``; writes
+  cell plain vs observed (ABBA rounds, median ratio), makespan
+  identity, overhead bounded by ``--overhead-limit``; writes
   ``BENCH_obsfast.json``;
 * ``slo`` — run the KV-service workload with request-span tracking and
   print the service report: throughput, exact p50/p99/p999 request and
@@ -35,10 +34,9 @@ Subcommands:
   a Chrome trace (``--trace-out``) and the JSON payload
   (``--json-out``);
 * ``kvsmoke`` — gate the span-tracking overhead on the KV service:
-  ABBA rounds plain vs spans-on (makespans must be identical and the
-  batch engine engaged), streaming-vs-exact percentile reconciliation,
-  reference-vs-fast span lane equality, SLO payloads for lrp/bb/sb;
-  writes ``BENCH_kv.json``;
+  ABBA rounds plain vs spans-on (makespans must be identical),
+  streaming-vs-exact percentile reconciliation, SLO payloads for
+  lrp/bb/sb; writes ``BENCH_kv.json``;
 * ``--selftest`` — end-to-end check on a tiny workload: obs hooks
   disabled vs. enabled yield bit-identical runs, the trace export
   round-trips through ``json`` with monotone per-track timestamps, the
@@ -86,8 +84,7 @@ SELFTEST_MECHANISMS = ("nop", "sb", "bb", "lrp")
 #: against the eager blocking baselines.
 KV_MECHANISMS = ("lrp", "bb", "sb")
 
-#: Every mechanism the batched-engine telemetry must reconcile against
-#: the reference Observer, counter for counter and window for window.
+#: Every mechanism the self-test's KV span checks run.
 FULL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
 
 #: Window width (cycles) used when the user does not pass --interval.
@@ -334,69 +331,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Fast-engine telemetry reconciliation
-# ----------------------------------------------------------------------
-
-def _engine_run(spec: WorkloadSpec, mechanism: str, config: MachineConfig,
-                *, fast: bool, timeline_interval: Optional[int] = None,
-                observe: bool = True) -> Tuple[SimulationResult,
-                                               Optional[Observer]]:
-    """One cell with the engine pinned via REPRO_FASTSIM (restored after).
-
-    The workload setup cache is cleared on both sides of the run: cached
-    machines were built for one engine's fast-path closures and must not
-    leak across the pin.
-    """
-    from repro.core.simulator import clear_setup_cache
-
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1" if fast else "0"
-    try:
-        clear_setup_cache()
-        observer = (Observer(timeline_interval=timeline_interval)
-                    if observe else None)
-        result = simulate(spec, mechanism, config, observer=observer)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-    return result, observer
-
-
-def fast_telemetry_reconciles(spec: WorkloadSpec, config: MachineConfig,
-                              timeline_interval: int,
-                              mechanisms: Sequence[str] = FULL_MECHANISMS,
-                              verbose: bool = False) -> bool:
-    """Exact fast-vs-reference telemetry check across ``mechanisms``.
-
-    For each mechanism the same cell runs once through the reference
-    per-op loop and once through the batched engine, both with a
-    metrics+timeline Observer attached; the makespans and the *entire*
-    observer exports must match exactly, and the fast run must actually
-    have taken the fast path (``fastsim_fallback is None``).
-    """
-    ok = True
-    for mechanism in mechanisms:
-        ref, ref_obs = _engine_run(spec, mechanism, config, fast=False,
-                                   timeline_interval=timeline_interval)
-        fst, fst_obs = _engine_run(spec, mechanism, config, fast=True,
-                                   timeline_interval=timeline_interval)
-        cell_ok = (ref.makespan == fst.makespan
-                   and fst.fastsim_fallback is None
-                   and ref_obs.export() == fst_obs.export())
-        ok = ok and cell_ok
-        if verbose:
-            print(f"[obs-selftest] fast  {mechanism:4s}  "
-                  f"makespan={fst.makespan}  "
-                  f"engine_used={fst.fastsim_fallback is None}  "
-                  f"export_identical="
-                  f"{ref_obs.export() == fst_obs.export()}")
-    return ok
-
-
-# ----------------------------------------------------------------------
 # Self-test
 # ----------------------------------------------------------------------
 
@@ -524,20 +458,11 @@ def run_selftest(verbose: bool = True) -> bool:
               f"avoided={gap['persists']['avoided']}  "
               f"moved={gap['persists']['moved']}  diverges_at={at}")
 
-    # Fast-engine pin: the batched engine's flat-array telemetry must
-    # reproduce the reference Observer's export exactly — counter for
-    # counter, window for window — across the full mechanism matrix.
-    fast_ok = fast_telemetry_reconciles(spec, config, interval,
-                                        verbose=verbose)
-    ok = ok and fast_ok
-
     # KV-service span pins, across the full mechanism matrix:
     # (a) the streaming reservoir's p50/p99/p999 equal the exact
     #     nearest-rank quantiles of the stored per-request records
     #     (both request latency and durable latency);
-    # (b) makespans are bit-identical with span tracking on vs off;
-    # (c) the spans-enabled run keeps the batch engine engaged (no
-    #     silent fallback to the reference loop).
+    # (b) makespans are bit-identical with span tracking on vs off.
     kv_spec = KVServiceSpec(structure="hashmap", num_threads=4,
                             initial_size=64, requests_per_thread=12,
                             seed=1)
@@ -548,7 +473,6 @@ def run_selftest(verbose: bool = True) -> bool:
         observed = simulate(kv_spec, mechanism, config,
                             observer=observer)
         identical = plain.makespan == observed.makespan
-        engaged = observed.fastsim_fallback is None
         counted = (observer.spans.request_count()
                    == kv_spec.total_requests)
         records = slo.build_records(
@@ -563,15 +487,13 @@ def run_selftest(verbose: bool = True) -> bool:
             exact = exact and all(
                 reservoir.quantile(q) == slo.exact_quantile(values, q)
                 for _name, q in slo.SLO_QUANTILES)
-        cell_ok = identical and engaged and counted and exact
+        cell_ok = identical and counted and exact
         kv_ok = kv_ok and cell_ok
         if verbose:
             print(f"[obs-selftest] kv    {mechanism:4s}  "
-                  f"identical={identical}  engine_used={engaged}  "
+                  f"identical={identical}  "
                   f"requests={observer.spans.request_count()}  "
                   f"quantiles_exact={exact}")
-    # ... and the two engines must agree on the span lanes themselves.
-    kv_ok = kv_ok and kv_engines_agree(kv_spec, config, verbose=verbose)
     ok = ok and kv_ok
 
     if verbose:
@@ -591,10 +513,8 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
     attached, in ABBA rounds whose per-round ratios are summarized by
     their median (see the inline comment on why min-of-N is the wrong
     estimator on a shared box). Alongside the wall numbers the run
-    checks the invariants the overhead figure is meaningless without:
-    every makespan identical (telemetry must not perturb simulation),
-    the fast path actually taken, and the small-matrix exact
-    reconciliation against the reference Observer.
+    checks the invariant the overhead figure is meaningless without:
+    every makespan identical (telemetry must not perturb simulation).
     """
     import time
 
@@ -610,8 +530,7 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
           f"--scale {args.scale}: {spec.num_threads} threads x "
           f"{spec.ops_per_thread} ops, median of {args.rounds} "
           f"ABBA rounds")
-    # Cold cells (setup + simulation, the same cell definition the
-    # profile/perf-smoke gates time). Ambient load on a shared box
+    # Cold cells (setup + simulation). Ambient load on a shared box
     # drifts on a minutes timescale — far more than the overhead being
     # measured — so comparing a min-of-N plain against a min-of-N
     # observed (whose minima may come from different load eras) is
@@ -624,12 +543,8 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
     ratios: List[float] = []
     best_plain = best_obs = float("inf")
     makespans = set()
-    fast_path_used = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1"
 
     def timed_cell(observe: bool) -> float:
-        nonlocal fast_path_used
         clear_setup_cache()
         t0 = time.perf_counter()
         result = simulate(spec, args.mechanism, config,
@@ -637,7 +552,6 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
                           if observe else None)
         dt = time.perf_counter() - t0
         makespans.add(result.makespan)
-        fast_path_used &= result.fastsim_fallback is None
         return dt
 
     try:
@@ -650,10 +564,6 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
             best_plain = min(best_plain, a1, a2)
             best_obs = min(best_obs, b1, b2)
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
         clear_setup_cache()
 
     ratios.sort()
@@ -662,12 +572,6 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
                     else (ratios[mid - 1] + ratios[mid]) / 2)
     overhead_pct = 100.0 * (median_ratio - 1.0)
     makespan_identical = len(makespans) == 1
-
-    small_spec = WorkloadSpec(structure="hashmap", num_threads=4,
-                              initial_size=64, ops_per_thread=12,
-                              seed=1)
-    reconciled = fast_telemetry_reconciles(
-        small_spec, MachineConfig(num_cores=4), interval)
 
     snapshot = {
         "suite.cell": f"{spec.structure}/{args.mechanism}",
@@ -679,8 +583,6 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
         "seconds_obs": round(best_obs, 4),
         "telemetry_overhead_pct": round(overhead_pct, 2),
         "makespan_identical": makespan_identical,
-        "reconciled": reconciled,
-        "fast_path_used": fast_path_used,
     }
     _ensure_parent(args.bench_out)
     with open(args.bench_out, "w") as handle:
@@ -690,16 +592,11 @@ def cmd_fastsmoke(args: argparse.Namespace) -> int:
     print(f"[obsfast] plain {best_plain:.3f}s  observed {best_obs:.3f}s"
           f"  overhead +{overhead_pct:.1f}% "
           f"(limit {args.overhead_limit:.0f}%)")
-    print(f"[obsfast] makespan_identical={makespan_identical}  "
-          f"fast_path_used={fast_path_used}  reconciled={reconciled}")
+    print(f"[obsfast] makespan_identical={makespan_identical}")
     print(f"[obsfast] wrote {args.bench_out}")
     failures = []
     if not makespan_identical:
         failures.append("telemetry perturbed the makespan")
-    if not fast_path_used:
-        failures.append("batched engine fell back to the reference loop")
-    if not reconciled:
-        failures.append("fast-vs-reference telemetry mismatch")
     if overhead_pct > args.overhead_limit:
         failures.append(f"telemetry overhead {overhead_pct:.1f}% exceeds "
                         f"{args.overhead_limit:.0f}%")
@@ -834,61 +731,17 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def kv_engines_agree(spec: KVServiceSpec, config: MachineConfig,
-                     mechanisms: Sequence[str] = KV_MECHANISMS,
-                     verbose: bool = False) -> bool:
-    """Reference-vs-fast span equality across ``mechanisms``.
-
-    Both engines must produce identical makespans AND identical span
-    lanes (boundary clocks and event marks), with the fast run actually
-    on the fast path — the span hook must not silently push runs back
-    to the reference loop.
-    """
-    from repro.core.simulator import clear_setup_cache
-
-    ok = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    try:
-        for mechanism in mechanisms:
-            os.environ["REPRO_FASTSIM"] = "0"
-            clear_setup_cache()
-            ref_obs = Observer(spans=True)
-            ref = simulate(spec, mechanism, config, observer=ref_obs)
-            os.environ["REPRO_FASTSIM"] = "1"
-            clear_setup_cache()
-            fst_obs = Observer(spans=True)
-            fst = simulate(spec, mechanism, config, observer=fst_obs)
-            cell_ok = (ref.makespan == fst.makespan
-                       and fst.fastsim_fallback is None
-                       and ref_obs.spans.to_dict() == fst_obs.spans.to_dict())
-            ok = ok and cell_ok
-            if verbose:
-                print(f"[obs-selftest] kv-eng {mechanism:4s}  "
-                      f"makespan={fst.makespan}  "
-                      f"engine_used={fst.fastsim_fallback is None}  "
-                      f"spans_identical="
-                      f"{ref_obs.spans.to_dict() == fst_obs.spans.to_dict()}")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
-        clear_setup_cache()
-    return ok
-
-
 def cmd_kvsmoke(args: argparse.Namespace) -> int:
     """Gate the KV-service span tracking: overhead, identity, exactness.
 
     The same ABBA discipline as ``fastsmoke`` (see the comment there on
     why back-to-back rounds beat min-of-N on a shared box), but the
     observed side attaches a spans-only Observer — the per-request hook
-    this PR adds to both execution loops. Alongside the overhead
-    number, the gates the figure is meaningless without: every makespan
-    identical (span tracking must not perturb the simulation), the
-    batch engine actually engaged, streaming percentiles exactly equal
-    to the stored-record percentiles, and reference-vs-fast span lanes
-    identical. The snapshot also carries the lrp/bb/sb SLO payloads so
+    the scheduler loop records. Alongside the overhead number, the
+    gates the figure is meaningless without: every makespan identical
+    (span tracking must not perturb the simulation) and streaming
+    percentiles exactly equal to the stored-record percentiles. The
+    snapshot also carries the lrp/bb/sb SLO payloads so
     the history dashboard gates service latency/throughput/RTO drift.
     """
     import time
@@ -903,12 +756,8 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
           f"{args.rounds} ABBA rounds")
 
     makespans = set()
-    fast_path_used = True
-    previous = os.environ.get("REPRO_FASTSIM")
-    os.environ["REPRO_FASTSIM"] = "1"
 
     def timed_cell(observe: bool) -> float:
-        nonlocal fast_path_used
         clear_setup_cache()
         t0 = time.perf_counter()
         result = simulate(spec, args.mechanism, config,
@@ -916,7 +765,6 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
                           if observe else None)
         dt = time.perf_counter() - t0
         makespans.add(result.makespan)
-        fast_path_used &= result.fastsim_fallback is None
         return dt
 
     ratios: List[float] = []
@@ -931,10 +779,6 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
             best_plain = min(best_plain, a1, a2)
             best_obs = min(best_obs, b1, b2)
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_FASTSIM", None)
-        else:
-            os.environ["REPRO_FASTSIM"] = previous
         clear_setup_cache()
 
     ratios.sort()
@@ -962,11 +806,6 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
                 reservoir.quantile(q) == slo.exact_quantile(values, q)
                 for _name, q in slo.SLO_QUANTILES)
 
-    small = KVServiceSpec(structure="hashmap", num_threads=4,
-                          initial_size=64, requests_per_thread=12,
-                          seed=1)
-    engines_agree = kv_engines_agree(small, MachineConfig(num_cores=4))
-
     snapshot = {
         "suite.cell": f"{spec.structure}/kv/{args.mechanism}",
         "suite.threads": spec.num_threads,
@@ -976,9 +815,7 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
         "seconds_obs": round(best_obs, 4),
         "telemetry_overhead_pct": round(overhead_pct, 2),
         "makespan_identical": makespan_identical,
-        "fast_path_used": fast_path_used,
         "quantiles_exact": quantiles_exact,
-        "engines_agree": engines_agree,
         "kv": payloads,
     }
     _ensure_parent(args.bench_out)
@@ -990,22 +827,16 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
           f"  overhead +{overhead_pct:.1f}% "
           f"(limit {args.overhead_limit:.0f}%)")
     print(f"[kvsmoke] makespan_identical={makespan_identical}  "
-          f"fast_path_used={fast_path_used}  "
-          f"quantiles_exact={quantiles_exact}  "
-          f"engines_agree={engines_agree}")
+          f"quantiles_exact={quantiles_exact}")
     for line in _render_kv_rows(payloads):
         print(f"[kvsmoke] {line}")
     print(f"[kvsmoke] wrote {args.bench_out}")
     failures = []
     if not makespan_identical:
         failures.append("span tracking perturbed the makespan")
-    if not fast_path_used:
-        failures.append("batched engine fell back to the reference loop")
     if not quantiles_exact:
         failures.append("streaming percentiles diverge from the "
                         "stored-record percentiles")
-    if not engines_agree:
-        failures.append("reference-vs-fast span lanes differ")
     if overhead_pct > args.overhead_limit:
         failures.append(f"span-tracking overhead {overhead_pct:.1f}% "
                         f"exceeds {args.overhead_limit:.0f}%")
@@ -1113,7 +944,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fastsmoke_parser = subparsers.add_parser(
         "fastsmoke",
         help="gate the batched engine's telemetry overhead and "
-             "fast-vs-reference reconciliation; write BENCH_obsfast.json")
+             "makespan identity; write BENCH_obsfast.json")
     fastsmoke_parser.add_argument("--mechanism", default="lrp")
     fastsmoke_parser.add_argument("--workload", default="hashmap")
     fastsmoke_parser.add_argument("--threads", type=int, default=32)

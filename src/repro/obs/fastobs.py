@@ -1,18 +1,18 @@
-"""Batched telemetry accumulator for the batch engine (fast path).
+"""Batched telemetry accumulator for the scheduler loop.
 
-The reference scheduler loop narrates every memory operation straight
-into the :class:`~repro.obs.Observer` — two dict upserts per op for
-the ``sched.*`` counters plus two timeline ticks, and a handful more
-per coherence miss. That per-op dispatch is exactly what the batch
-engine (:mod:`repro.core.fastsim`) exists to avoid, which is why it
-historically refused to run with any observer attached — going dark at
-the paper-scale runs where telemetry matters most.
-
-:class:`FastObs` closes that gap. It is a flat-table accumulator the
-fused closures write into with plain list index arithmetic — no
-per-op name hashing, no dict churn, no method dispatch (plain lists
-beat ``array('q')`` here: small-int list stores skip the box/unbox
-round-trip a typed array pays on every ``+= 1``):
+Narrating every memory operation straight into the
+:class:`~repro.obs.Observer` costs two dict upserts per op for the
+``sched.*`` counters plus two timeline ticks, and a handful more per
+coherence miss — exactly the per-op dispatch the batch engine
+(:mod:`repro.core.fastsim`) exists to avoid. :class:`FastObs` is the
+flat-table accumulator it writes instead, with plain list index
+arithmetic — no per-op name hashing, no dict churn, no method
+dispatch (plain lists beat ``array('q')`` here: small-int list stores
+skip the box/unbox round-trip a typed array pays on every ``+= 1``).
+The engine uses it for every observed run; with a trace or provenance
+collector attached the coherence path narrates into the Observer
+directly (through :meth:`Machine.execute`), and FastObs still derives
+the ``sched.*`` counters and the timeline windows:
 
 * per-core op/cycle tallies for the scheduler's ``sched.*`` counters
   and the ``compute.c<i>`` / ``mem.c<i>`` timeline streams (kept as a
@@ -30,18 +30,19 @@ round-trip a typed array pays on every ``+= 1``):
 :meth:`FastObs.flush` folds everything into the attached Observer
 **additively** (counters add, histograms fold observation-for-
 observation, timeline windows add), so emissions other components made
-directly — mechanisms, the NoC/directory on the layered fallback path
-— are preserved, and the final ``Observer.export()`` is
-counter-for-counter, window-for-window identical to a reference-loop
-run. The obs-selftest and tests/test_fastobs.py pin that equality
-across the full mechanism matrix.
+directly — mechanisms, the NoC/directory on the layered path taken
+under a trace or provenance collector — are preserved, and the final
+``Observer.export()`` is counter-for-counter, window-for-window
+identical to per-op narration. tests/test_fastobs.py pins that against
+exports the per-op reference loop recorded, across the full mechanism
+matrix.
 
-Everything else the reference path observes (persist taxonomy, stall
-reasons, persist-queue depth gauges, RET occupancy, per-channel NVM
-line counts, ``bb.*``/``lrp.*`` engine counters) is emitted by the
+Everything else an Observer sees (persist taxonomy, stall reasons,
+persist-queue depth gauges, RET occupancy, per-channel NVM line
+counts, ``bb.*``/``lrp.*`` engine counters) is emitted by the
 mechanisms and the NVM controller themselves, which stay attached to
-the Observer on the fast path — those streams need no batching here
-because they fire per *persist event*, not per op.
+the Observer — those streams need no batching here because they fire
+per *persist event*, not per op.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class FastObs:
         self.interval = timeline.interval if timeline is not None else 0
         self.num_cores = num_cores
         # Scheduler accounting: cycle totals plus op counts. The op
-        # counts decide counter *existence* — the reference loop
+        # counts decide counter *existence* — per-op narration
         # creates sched.compute_cycles.c<i> on the first op even when
         # the compute charge is 0, and sched.mem_cycles.c<i> on the
         # first memory op, so a zero-valued counter must still appear.
@@ -241,7 +242,7 @@ class FastObs:
                                + coh[SLOT_AUX_UPGRADE_INV])
         for slot, name in enumerate(SLOT_NAMES):
             # Every coherence event contributes >= 1, so a zero slot
-            # means "never happened" — the reference path would not
+            # means "never happened" — per-op narration would not
             # have created the counter either.
             value = coh[slot]
             if value:

@@ -2,12 +2,12 @@
 
 The KV-service client generator (:mod:`repro.workloads.kvservice`)
 terminates every request with a one-cycle ``work`` op whose ``site``
-is the module constant :data:`REQUEST_BOUNDARY`. Both execution loops
-— the reference heap loop and the batch engine — test that marker by
-*identity* (``op.site is REQUEST_BOUNDARY``), a single pointer compare
-inside the already-guarded telemetry branch, and append two integers
-to the thread's lanes in a :class:`SpanTracker`: the op's pre-advance
-clock and the global memory-event count at that moment.
+is the module constant :data:`REQUEST_BOUNDARY`. The scheduler loop
+(:mod:`repro.core.fastsim`) tests that marker by *identity*
+(``op.site is REQUEST_BOUNDARY``), a single pointer compare inside the
+already-guarded telemetry branch, and appends two integers to the
+thread's lanes in a :class:`SpanTracker`: the op's pre-advance clock
+and the global memory-event count at that moment.
 
 Those two integers per request reconstruct the full span: the boundary
 op always costs ``1 + compute_cycles_per_op``, so request ``i`` on a
@@ -22,8 +22,7 @@ log records the youngest store event per persisted word). Arrival
 times and the durable point are reconstructed *post hoc* by
 :mod:`repro.obs.slo` — the hot path never computes them, which is what
 keeps makespans bit-identical with span tracking on (pinned by the obs
-selftest) and the batch engine engaged (``spans`` is invisible to
-:func:`repro.core.fastsim.check`).
+selftest).
 
 Spans are opt-in (``Observer(spans=True)``) and the tracker is a
 FastObs-style flat table: two plain per-thread ``list.append`` calls
@@ -51,9 +50,8 @@ class SpanTracker:
     value serialization, just before the boundary op's own
     ``1 + compute`` cycles are charged. ``event_marks[tid][i]`` is the
     global memory-event count at the same moment (the request's event
-    frontier). Both loops record them at exactly the same execution
-    point, so the lanes are bit-identical between the reference loop
-    and the batch engine (pinned by tests/test_kvservice.py).
+    frontier). tests/test_kvservice.py pins the lanes against digests
+    recorded with the per-op reference loop.
     """
 
     __slots__ = ("boundaries", "event_marks")

@@ -1,5 +1,8 @@
 """Smoke tests for the benchmark harness (tiny configurations)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench.configs import (
@@ -17,6 +20,9 @@ from repro.bench.figures import (
 )
 from repro.bench.report import render_series, render_table
 from repro.common.params import NVMMode
+from repro.core.simulator import clear_setup_cache, simulate
+
+BENCH_FIGURES = Path(__file__).resolve().parent.parent / "BENCH_figures.json"
 
 
 class TestConfigs:
@@ -70,6 +76,18 @@ class TestReport:
 
 
 class TestSmokeRuns:
+    def test_fig5_quick_cell_matches_committed_makespan(self):
+        """One cold quick-scale Figure 5 cell reproduces its committed
+        makespan (hashmap/lrp: 9216 cycles) to the cycle."""
+        from repro.bench.configs import bench_config
+
+        committed = json.loads(BENCH_FIGURES.read_text())["fig5_makespan"]
+        clear_setup_cache()
+        result = simulate(figure_spec("hashmap", scale="quick"), "lrp",
+                          bench_config(SCALED_CONFIG))
+        clear_setup_cache()
+        assert result.makespan == committed["hashmap"]["lrp"] == 9216
+
     def test_normalized_execution_tiny(self):
         result = run_normalized_execution(
             SCALED_CONFIG, "tiny", scale="quick", num_threads=2,

@@ -341,14 +341,34 @@ class TestCacheCLI:
 # Killed runs: resume from the cache, leave no orphaned workers
 # ----------------------------------------------------------------------
 
-def _start_fig5(cache_dir, cwd, *extra):
+def _start_fig5(cache_dir, cwd, *extra, stderr=None):
     """``figures --figures fig5 --jobs 2`` in a session of its own."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro.bench.figures", "--figures", "fig5",
          "--jobs", "2", "--quiet", *extra],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
              "REPRO_EXP_CACHE_DIR": str(cache_dir)},
-        cwd=str(cwd), stdout=subprocess.DEVNULL, start_new_session=True)
+        cwd=str(cwd), stdout=subprocess.DEVNULL, stderr=stderr,
+        start_new_session=True)
+
+
+def _wait_for_cached_cells(proc, cache_dir, cells=3):
+    deadline = time.monotonic() + 300
+    while len(list(cache_dir.rglob("*.pkl"))) < cells:
+        assert proc.poll() is None, "figures exited early"
+        assert time.monotonic() < deadline, "no cells cached"
+        time.sleep(0.2)
+
+
+def _rerun_fig5(cache_dir, tmp_path):
+    """Rerun to completion; its ``--timings-out`` snapshot."""
+    timings = tmp_path / "timings.json"
+    rerun = _start_fig5(cache_dir, tmp_path, "--timings-out", str(timings))
+    try:
+        assert rerun.wait(timeout=600) == 0
+    finally:
+        _kill_session(rerun)
+    return json.loads(timings.read_text())
 
 
 def _kill_session(proc):
@@ -371,29 +391,41 @@ class TestKilledRun:
         cache_dir = tmp_path / "cache"
         proc = _start_fig5(cache_dir, tmp_path)
         try:
-            deadline = time.monotonic() + 300
-            while len(list(cache_dir.rglob("*.pkl"))) < 3:
-                assert proc.poll() is None, "figures exited early"
-                assert time.monotonic() < deadline, "no cells cached"
-                time.sleep(0.2)
+            _wait_for_cached_cells(proc, cache_dir)
         finally:
             _kill_session(proc)
         cached = len(list(cache_dir.rglob("*.pkl")))
         assert cached < FIG5_CELLS
 
-        timings = tmp_path / "timings.json"
-        rerun = _start_fig5(cache_dir, tmp_path,
-                            "--timings-out", str(timings))
-        try:
-            assert rerun.wait(timeout=600) == 0
-        finally:
-            _kill_session(rerun)
-        snapshot = json.loads(timings.read_text())
+        snapshot = _rerun_fig5(cache_dir, tmp_path)
         assert snapshot["figures"]["fig5"]["cache_hits"] == cached
         assert (snapshot["figures"]["fig5"]["cache_misses"]
                 == FIG5_CELLS - cached)
         committed = json.loads((ROOT / "BENCH_figures.json").read_text())
         assert snapshot["fig5_makespan"] == committed["fig5_makespan"]
+
+    def test_ctrl_c_prints_one_line_and_resumes(self, tmp_path):
+        """SIGINT to the process group (Ctrl-C in a terminal): exit
+        status 130, one line on stderr and no traceback from the
+        runner or its workers; the rerun resumes from the cache."""
+        cache_dir = tmp_path / "cache"
+        proc = _start_fig5(cache_dir, tmp_path, stderr=subprocess.PIPE)
+        try:
+            _wait_for_cached_cells(proc, cache_dir)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            _kill_session(proc)
+        assert proc.returncode == 130
+        lines = stderr.decode().splitlines()
+        assert len(lines) == 1 and "interrupted" in lines[0], lines
+        cached = len(list(cache_dir.rglob("*.pkl")))
+        assert 3 <= cached < FIG5_CELLS
+
+        snapshot = _rerun_fig5(cache_dir, tmp_path)
+        assert snapshot["figures"]["fig5"]["cache_hits"] == cached
+        assert (snapshot["figures"]["fig5"]["cache_misses"]
+                == FIG5_CELLS - cached)
 
     def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
         proc = _start_fig5(tmp_path / "cache", tmp_path, "--no-cache")

@@ -1,35 +1,36 @@
-"""Batched telemetry (FastObs) reconciliation and edge-case pins.
+"""Batched telemetry (FastObs) against the golden exports, and the
+merge arithmetic it leans on.
 
-The batch engine used to refuse any observed run; now metrics and
-timeline observers ride the fast path through the flat-table
-accumulator of :mod:`repro.obs.fastobs`. These tests pin the contract
-that makes that safe:
+Metrics and timeline observers ride the batch engine through the
+flat-table accumulator of :mod:`repro.obs.fastobs`. These tests pin
+the contract that makes that safe:
 
-* the full 7-mechanism x 5-structure matrix produces *identical*
-  ``Observer.export()`` dicts (counter for counter, window for window)
-  and identical makespans on both engines, with the fast run actually
-  staying on the fast path;
+* the full 7-mechanism x 5-structure matrix, and pathological window
+  widths, reproduce the ``Observer.export()`` digests (counter for
+  counter, window for window) that the per-op reference loop recorded
+  in :mod:`tests.engine_digests`;
 * the quick-scale Figure 5 grid keeps every one of its 20 makespans
-  byte-identical with telemetry on;
-* refusals stay machine-readable: trace/provenance observers fall back
-  with the right :class:`~repro.core.fastsim.Refusal` value threaded
-  onto ``SimulationResult.fastsim_fallback``, metrics/timeline
-  observers don't fall back at all;
+  equal to the committed ``BENCH_figures.json`` with telemetry on;
+* trace and provenance collectors run on the same loop and see every
+  op;
 * the merge arithmetic FastObs leans on — additive timeline folds,
   histogram folding including the ``clamped`` tally — cannot be told
   apart from streaming observation.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.params import MachineConfig
-from repro.core import fastsim
 from repro.core.simulator import clear_setup_cache, simulate
 from repro.obs import Observer
 from repro.obs.fastobs import fold_histogram
 from repro.obs.metrics import Histogram
 from repro.obs.timeline import SPARK_BLOCKS, TimelineSampler, sparkline
 from repro.workloads.harness import WorkloadSpec
+from tests import engine_digests
 
 ALL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
 ALL_STRUCTURES = ("linkedlist", "hashmap", "bstree", "skiplist", "queue")
@@ -41,166 +42,118 @@ ALL_STRUCTURES = ("linkedlist", "hashmap", "bstree", "skiplist", "queue")
 SMALL_CONFIG = dict(num_cores=4, l1_size_bytes=1024, l1_assoc=2,
                     num_memory_controllers=2, compute_cycles_per_op=2)
 
+BENCH_FIGURES = Path(__file__).resolve().parent.parent / "BENCH_figures.json"
+
 
 def _small_spec(structure):
     return WorkloadSpec(structure=structure, num_threads=4,
                         initial_size=64, ops_per_thread=12, seed=1)
 
 
-def _observed_run(structure, mechanism, *, fast, interval, monkeypatch,
-                  config=None):
-    monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
+def _run(observer):
     clear_setup_cache()
-    observer = (Observer(timeline_interval=interval)
-                if interval else Observer())
-    result = simulate(_small_spec(structure), mechanism,
-                      config or MachineConfig(**SMALL_CONFIG),
-                      observer=observer)
-    return result, observer
+    return simulate(_small_spec("hashmap"), "lrp",
+                    MachineConfig(**SMALL_CONFIG), observer=observer)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return engine_digests.golden()
 
 
 # ----------------------------------------------------------------------
-# Exact reconciliation: fast export == reference export
+# Exact reconciliation: batch-engine export == reference export
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
 @pytest.mark.parametrize("structure", ALL_STRUCTURES)
-def test_fast_export_identical(structure, mechanism, monkeypatch):
-    """Counter-for-counter, window-for-window equality, fast path on."""
-    ref, ref_obs = _observed_run(structure, mechanism, fast=False,
-                                 interval=500, monkeypatch=monkeypatch)
-    fst, fst_obs = _observed_run(structure, mechanism, fast=True,
-                                 interval=500, monkeypatch=monkeypatch)
-    assert fst.fastsim_fallback is None
-    assert fst.makespan == ref.makespan
-    assert fst_obs.export() == ref_obs.export()
+def test_fast_export_identical(golden, structure, mechanism):
+    """Counter-for-counter, window-for-window equality."""
+    assert (engine_digests.export_digest(structure, mechanism)
+            == golden[f"export/{structure}/{mechanism}"])
 
 
 @pytest.mark.parametrize("interval", [None, 1, 7, 100000])
-def test_fast_export_identical_across_intervals(interval, monkeypatch):
+def test_fast_export_identical_across_intervals(golden, interval):
     """Metrics-only plus pathological window widths: 1-cycle windows
     (every quantum straddles), 7 (odd, never divides a quantum), and
     one window swallowing the whole run."""
     for mechanism in ("lrp", "hops"):
-        ref, ref_obs = _observed_run("hashmap", mechanism, fast=False,
-                                     interval=interval,
-                                     monkeypatch=monkeypatch)
-        fst, fst_obs = _observed_run("hashmap", mechanism, fast=True,
-                                     interval=interval,
-                                     monkeypatch=monkeypatch)
-        assert fst.fastsim_fallback is None
-        assert fst.makespan == ref.makespan
-        assert fst_obs.export() == ref_obs.export()
+        assert (engine_digests.export_digest("hashmap", mechanism,
+                                             interval=interval)
+                == golden[f"interval/{interval}/{mechanism}"])
 
 
 @pytest.mark.slow
-def test_fig5_quick_makespans_identical_with_telemetry(monkeypatch):
-    """All 20 quick-scale Figure 5 makespans, telemetry ON, both
-    engines byte-identical — the paper's headline grid must not shift
-    by a cycle when it is being watched."""
+def test_fig5_quick_makespans_identical_with_telemetry():
+    """All 20 quick-scale Figure 5 makespans, telemetry ON, equal the
+    committed BENCH_figures.json — the paper's headline grid must not
+    shift by a cycle when it is being watched."""
     from repro.bench.configs import (SCALED_CONFIG, bench_config,
                                      figure_spec)
 
+    committed = json.loads(BENCH_FIGURES.read_text())["fig5_makespan"]
     config = bench_config(SCALED_CONFIG)
-    cells = [(workload, mechanism)
-             for workload in ALL_STRUCTURES
-             for mechanism in ("nop", "sb", "bb", "lrp")]
+    clear_setup_cache()
     makespans = {}
-    for fast in (True, False):
-        monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
-        clear_setup_cache()
-        for workload, mechanism in cells:
+    for workload in ALL_STRUCTURES:
+        for mechanism in ("nop", "sb", "bb", "lrp"):
             observer = Observer(timeline_interval=1000)
             result = simulate(figure_spec(workload, scale="quick"),
                               mechanism, config, observer=observer)
-            if fast:
-                assert result.fastsim_fallback is None, (workload,
-                                                         mechanism)
-                makespans[(workload, mechanism)] = result.makespan
-            else:
-                assert makespans[(workload, mechanism)] \
-                    == result.makespan, (workload, mechanism)
-    assert len(makespans) == 20
+            makespans.setdefault(workload, {})[mechanism] = \
+                result.makespan
     clear_setup_cache()
+    assert makespans == committed
 
 
 # ----------------------------------------------------------------------
-# Refusals: machine-readable reasons, threaded onto the result
+# Every observer rides the batch engine
 # ----------------------------------------------------------------------
 
-def test_metrics_observer_takes_fast_path(monkeypatch):
-    result, _ = _observed_run("hashmap", "lrp", fast=True,
-                              interval=None, monkeypatch=monkeypatch)
-    assert result.fastsim_fallback is None
+def test_metrics_observer_takes_fast_path():
+    """A metrics-only observer gets the sched.* counters FastObs
+    derives, for every core that ran."""
+    observer = Observer()
+    _run(observer)
+    counters = observer.metrics.counters
+    for core in range(4):
+        assert counters[f"sched.compute_cycles.c{core}"] > 0
+        assert counters[f"sched.mem_cycles.c{core}"] > 0
 
 
-def test_trace_observer_falls_back_with_reason(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-    clear_setup_cache()
-    result = simulate(_small_spec("hashmap"), "lrp",
-                      MachineConfig(**SMALL_CONFIG),
-                      observer=Observer(trace=True))
-    assert result.fastsim_fallback \
-        == fastsim.Refusal.OBSERVER_TRACE.value == "observer-trace"
+def test_trace_observer_runs_on_batch_engine():
+    """Every executed op gets exactly one core span."""
+    observer = Observer(trace=True)
+    result = _run(observer)
+    ops = [event for event in observer.export()["trace_events"]
+           if event.get("cat") == "op"]
+    assert len(ops) == result.executed_ops
 
 
-def test_provenance_observer_falls_back_with_reason(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-    clear_setup_cache()
-    result = simulate(_small_spec("hashmap"), "lrp",
-                      MachineConfig(**SMALL_CONFIG),
-                      observer=Observer(provenance=True))
-    assert result.fastsim_fallback \
-        == fastsim.Refusal.OBSERVER_PROVENANCE.value \
-        == "observer-provenance"
+def test_provenance_observer_runs_on_batch_engine():
+    """Stall folds sum exactly to persist_stall_cycles, and every
+    persist names the site that dirtied its line."""
+    from repro.obs import flame
+
+    observer = Observer(provenance=True)
+    result = _run(observer)
+    prov = observer.export()["provenance"]
+    assert prov["persists"]
+    assert all(entry["site"] for entry in prov["persists"])
+    assert (flame.total(flame.collapse_stacks(prov, "stalls"))
+            == result.stats.persist_stall_cycles)
 
 
-def test_env_disabled_reason(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTSIM", "0")
-    clear_setup_cache()
-    result = simulate(_small_spec("hashmap"), "lrp",
-                      MachineConfig(**SMALL_CONFIG))
-    assert result.fastsim_fallback \
-        == fastsim.Refusal.ENV_DISABLED.value == "env-disabled"
-    clear_setup_cache()
-
-
-def test_unknown_observer_object_refused(monkeypatch):
-    """Anything without the Observer surface forces the reference loop
-    — an opaque observer could be watching per-op state FastObs never
-    materializes."""
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-
-    class FakeMachine:
-        obs = object()
-
-    class FakeScheduler:
-        _nudges = None
-        max_ops = None
-        machine = FakeMachine()
-
-    assert fastsim.check(FakeScheduler()) \
-        is fastsim.Refusal.OBSERVER_UNKNOWN
-
-
-def test_refusal_debug_print(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-    monkeypatch.setenv("REPRO_FASTSIM_DEBUG", "1")
-    clear_setup_cache()
-    simulate(_small_spec("hashmap"), "lrp", MachineConfig(**SMALL_CONFIG),
-             observer=Observer(trace=True))
-    assert "observer-trace" in capsys.readouterr().err
-
-
-def test_fallback_reason_reaches_run_summary(monkeypatch):
+def test_run_summary_reports_no_fallback():
     from repro.exp.runner import Job, execute_job
 
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
     clear_setup_cache()
     job = Job(spec=_small_spec("hashmap"), mechanism="lrp",
               config=MachineConfig(**SMALL_CONFIG), collect_trace=True)
     summary = execute_job(job)
-    assert summary.fastsim_fallback == "observer-trace"
+    assert summary.fastsim_fallback is None
+    assert summary.obs["trace_events"]
     clear_setup_cache()
 
 
@@ -285,7 +238,7 @@ def test_sparkline_empty_and_all_zero_windows():
     assert line[1] == line[3] != SPARK_BLOCKS[0]
 
 
-def test_flush_is_idempotent_and_additive(monkeypatch):
+def test_flush_is_idempotent_and_additive():
     """A defensive double flush cannot double-count, and counters other
     components already wrote to the Observer survive the fold."""
     from repro.obs.fastobs import FastObs

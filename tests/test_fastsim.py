@@ -1,21 +1,16 @@
-"""Fast-vs-reference equivalence matrix for the batch engine.
+"""The batch engine against the golden run digests.
 
-The batch engine (:mod:`repro.core.fastsim`) promises the *same
-execution bit for bit* as the reference scheduler loop — same
-makespans, same per-core stats, same persist streams, same memory
-images, same recorded events. These tests pin that promise across
+The batch engine (:mod:`repro.core.fastsim`) is the only scheduler
+loop. These tests recompute the ``run/``, ``seed/``, ``observed/`` and
+``nudged/`` digests of :mod:`tests.engine_digests` — same makespans,
+same per-core stats, same persist streams, same memory images, same
+recorded events, same trace/provenance exports and same nudged
+schedules as the per-op reference loops that recorded them — across
 every persistency mechanism and every workload, with trace recording
 both off (the figures configuration, where the inline read path and
 the event-free acquire contract are active) and on (every MemoryEvent
 must still be built).
-
-They also pin the engine's refusals: schedule nudges, observers and
-the ``max_ops`` valve must take the reference path, so fuzz replays
-and coverage maps cannot diverge no matter what ``REPRO_FASTSIM`` says.
 """
-
-import dataclasses
-import hashlib
 
 import pytest
 
@@ -23,135 +18,73 @@ from repro.common.params import MachineConfig
 from repro.core import fastsim
 from repro.core.simulator import clear_setup_cache, simulate
 from repro.lfds import WORKLOAD_NAMES
-from repro.obs import Observer, coverage_from_obs
 from repro.persistency import MECHANISMS
-from repro.workloads.harness import WorkloadSpec
-
-ALL_MECHANISMS = ["nop", "sb", "bb", "arp", "dpo", "hops", "lrp"]
-
-#: Tiny but adversarial: 2-way 1KB L1s force constant misses,
-#: evictions, upgrades and cross-core downgrades.
-SMALL_CONFIG = dict(l1_size_bytes=1024, l1_assoc=2,
-                    num_memory_controllers=2, compute_cycles_per_op=2)
+from tests import engine_digests
+from tests.engine_digests import ALL_MECHANISMS, NUDGED_CELLS, NUDGES, \
+    SMALL_CONFIG
 
 
-def _spec(structure, seed=7, ops=10):
-    return WorkloadSpec(structure=structure, num_threads=4,
-                        initial_size=32, ops_per_thread=ops, seed=seed)
+@pytest.fixture(scope="module")
+def golden():
+    return engine_digests.golden()
 
 
-def _fingerprint(result, record):
-    """Everything observable about a run, hashed."""
-    h = hashlib.sha256()
-    h.update(repr((result.makespan, result.executed_ops)).encode())
-    h.update(repr(dataclasses.asdict(result.stats)).encode())
-    for core_stats in result.machine.stats:
-        h.update(repr(dataclasses.asdict(core_stats)).encode())
-    for rec in result.nvm.persist_log():
-        h.update(repr(rec).encode())
-    h.update(repr(sorted(result.trace.memory_snapshot().items())).encode())
-    h.update(repr(result.outcomes).encode())
-    if record:
-        for event in result.trace.events:
-            h.update(repr(event._key()).encode())
-    return h.hexdigest()
-
-
-def _run(structure, mechanism, *, fast, record, monkeypatch,
-         observer=None, nudges=None, ops=10):
-    monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
-    clear_setup_cache()
-    config = MachineConfig(record_trace=record, **SMALL_CONFIG)
-    return simulate(_spec(structure, ops=ops), mechanism, config,
-                    observer=observer, schedule_nudges=nudges)
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(engine_digests.cases())
 
 
 @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
 @pytest.mark.parametrize("structure", WORKLOAD_NAMES)
 @pytest.mark.parametrize("record", [False, True],
                          ids=["norecord", "record"])
-def test_fast_matches_reference(structure, mechanism, record,
-                                monkeypatch):
-    fast = _run(structure, mechanism, fast=True, record=record,
-                monkeypatch=monkeypatch)
-    ref = _run(structure, mechanism, fast=False, record=record,
-               monkeypatch=monkeypatch)
-    assert _fingerprint(fast, record) == _fingerprint(ref, record)
+def test_fast_matches_reference(golden, structure, mechanism, record):
+    tag = "record" if record else "norecord"
+    assert (engine_digests.run_digest(structure, mechanism, record)
+            == golden[f"run/{structure}/{mechanism}/{tag}"])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fast_matches_reference_across_seeds(seed, monkeypatch):
-    for fast in (True, False):
-        monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
-        clear_setup_cache()
-        config = MachineConfig(record_trace=False, **SMALL_CONFIG)
-        result = simulate(_spec("hashmap", seed=seed), "lrp", config)
-        if fast:
-            want = _fingerprint(result, record=False)
-        else:
-            assert _fingerprint(result, record=False) == want
+def test_fast_matches_reference_across_seeds(golden, seed):
+    assert (engine_digests.run_digest("hashmap", "lrp", False, seed)
+            == golden[f"seed/{seed}"])
 
 
 # ----------------------------------------------------------------------
-# Refusals: observation channels force the reference path
+# Trace and provenance collectors, schedule nudges
 # ----------------------------------------------------------------------
 
-def test_observer_and_provenance_identical_either_way(monkeypatch):
-    """Coverage maps and provenance are REPRO_FASTSIM-invariant."""
-    exports = []
-    for fast in (True, False):
-        obs = Observer(provenance=True)
-        result = _run("hashmap", "lrp", fast=fast, record=False,
-                      monkeypatch=monkeypatch, observer=obs)
-        exports.append((_fingerprint(result, record=False),
-                        obs.export()))
-    (fp_fast, export_fast), (fp_ref, export_ref) = exports
-    assert fp_fast == fp_ref
-    assert export_fast["metrics"] == export_ref["metrics"]
-    cov_fast = coverage_from_obs(export_fast)
-    cov_ref = coverage_from_obs(export_ref)
-    assert cov_fast.new_features(cov_ref) == 0
-    assert cov_ref.new_features(cov_fast) == 0
+def test_observer_and_provenance_identical_either_way(golden):
+    """Trace and provenance exports of the batch engine reproduce the
+    reference loop's, in every observer mode and on every structure."""
+    for case, digest in engine_digests.cases().items():
+        if case.startswith("observed/"):
+            assert digest() == golden[case], case
 
 
-def test_fuzz_nudges_identical_either_way(monkeypatch):
-    """A nudged (fuzz-replay) schedule is REPRO_FASTSIM-invariant."""
-    fingerprints = []
-    for fast in (True, False):
-        result = _run("queue", "lrp", fast=fast, record=True,
-                      monkeypatch=monkeypatch, nudges={0: 3, 5: 1, 9: 2})
-        fingerprints.append(_fingerprint(result, record=True))
-    assert fingerprints[0] == fingerprints[1]
+def test_fuzz_nudges_identical_either_way(golden):
+    """A nudged (fuzz-replay) schedule reproduces the reference
+    min-scan loop's: no nudges, a wrapping rank, picks that land on
+    finished threads, and a mixed set, on every structure."""
+    for name in NUDGES:
+        for structure, mechanism in NUDGED_CELLS:
+            case = f"nudged/{name}/{structure}/{mechanism}"
+            assert (engine_digests.nudged_digest(structure, mechanism,
+                                                 name)
+                    == golden[case]), case
 
 
-def test_eligibility_refusals(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-
-    class FakeMachine:
-        obs = None
-
-    class FakeScheduler:
-        _nudges = None
-        max_ops = None
-        machine = FakeMachine()
-
-    sched = FakeScheduler()
-    assert fastsim.eligible(sched)
-    sched.max_ops = 100
-    assert not fastsim.eligible(sched)
-    sched.max_ops = None
-    sched._nudges = {0: 1}
-    assert not fastsim.eligible(sched)
-    sched._nudges = None
-    sched.machine.obs = object()
-    assert not fastsim.eligible(sched)
-    sched.machine.obs = None
-    monkeypatch.setenv("REPRO_FASTSIM", "0")
-    assert not fastsim.eligible(sched)
+def test_nudged_run_with_trace_and_provenance(golden):
+    for structure, mechanism in NUDGED_CELLS[:2]:
+        assert (engine_digests.nudged_digest(structure, mechanism,
+                                             "mixed", observe=True)
+                == golden[f"nudged-observed/mixed/{structure}/"
+                          f"{mechanism}"])
 
 
 def test_scheduler_delegates_to_fastsim(monkeypatch):
-    """Scheduler.run actually uses the batch engine when eligible."""
+    """Scheduler.run uses the batch engine, observed and nudged too."""
+    from repro.obs import Observer
+
     calls = []
     original = fastsim.run
 
@@ -160,11 +93,14 @@ def test_scheduler_delegates_to_fastsim(monkeypatch):
         return original(scheduler)
 
     monkeypatch.setattr(fastsim, "run", spy)
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
-    clear_setup_cache()
+    spec = engine_digests._run_spec("hashmap")
     config = MachineConfig(record_trace=False, **SMALL_CONFIG)
-    simulate(_spec("hashmap"), "lrp", config)
-    assert calls
+    clear_setup_cache()
+    simulate(spec, "lrp", config)
+    simulate(spec, "lrp", config,
+             observer=Observer(trace=True, provenance=True),
+             schedule_nudges={0: 1})
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +110,8 @@ def test_scheduler_delegates_to_fastsim(monkeypatch):
 def test_every_mechanism_declares_acquire_ignores_event():
     """The batch engine passes event=None to on_acquire when recording
     is off; each mechanism class must uphold (and declare) that its
-    hook never dereferences the event. The equivalence matrix above
-    would catch a stale flag behaviorally; this pins the declaration."""
+    hook never dereferences the event. The golden matrix above would
+    catch a stale flag behaviorally; this pins the declaration."""
     for name, cls in MECHANISMS.items():
         assert cls.acquire_ignores_event is True, name
 

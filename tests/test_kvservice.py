@@ -9,10 +9,10 @@ Load-bearing guarantees:
   structure state matches :func:`expected_final_keys` replayed over
   the recorded outcomes;
 * span tracking is *free* in the semantics: makespans, persist-log
-  digests and outcomes are bit-identical with spans on or off, the
-  batch engine stays engaged, and the recorded (boundary, event-mark)
-  lanes are bit-identical between the batch engine and the reference
-  heap loop.
+  digests and outcomes are bit-identical with spans on or off, and
+  the recorded (boundary, event-mark) lanes reproduce the golden
+  digests the reference heap loop recorded
+  (:mod:`tests.engine_digests`).
 """
 
 import dataclasses
@@ -180,29 +180,30 @@ def test_spans_do_not_change_the_run(mechanism):
 
 
 def test_spans_keep_the_batch_engine_engaged(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTSIM", "1")
+    from repro.core import fastsim
+
+    calls = []
+    original = fastsim.run
+
+    def spy(scheduler):
+        calls.append(scheduler)
+        return original(scheduler)
+
+    monkeypatch.setattr(fastsim, "run", spy)
     clear_setup_cache()
     observer = Observer(spans=True)
-    result = simulate(tiny_spec(), "lrp", tiny_config(),
-                      observer=observer)
-    assert result.fastsim_fallback is None
+    simulate(tiny_spec(), "lrp", tiny_config(), observer=observer)
+    assert calls
     assert observer.spans.request_count() == tiny_spec().total_requests
 
 
-@pytest.mark.parametrize("mechanism", ("bb", "lrp"))
-def test_span_lanes_identical_across_engines(mechanism, monkeypatch):
-    """The batch engine records the exact lanes the heap loop does."""
-    spec, config = tiny_spec(), tiny_config()
-    lanes = {}
-    for fast in (False, True):
-        monkeypatch.setenv("REPRO_FASTSIM", "1" if fast else "0")
-        clear_setup_cache()
-        observer = Observer(spans=True)
-        result = simulate(spec, mechanism, config, observer=observer)
-        assert (result.fastsim_fallback is None) == fast
-        lanes[fast] = (result.makespan, observer.spans.to_dict())
-    clear_setup_cache()
-    assert lanes[False] == lanes[True]
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_span_lanes_identical_across_engines(mechanism):
+    """The batch engine records the exact lanes the heap loop did."""
+    from tests import engine_digests
+
+    assert (engine_digests.spans_digest(mechanism)
+            == engine_digests.golden()[f"spans/{mechanism}"])
 
 
 def test_span_tracker_roundtrips_through_dict():

@@ -327,3 +327,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestCommittedCaptures:
+    """``examples/obs/hashmap-{bb,lrp}.provenance.json`` are the output
+    of ``python -m repro.obs provenance OUT --mechanism M`` with the
+    default workload arguments; rerunning that command must write the
+    same capture."""
+
+    EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "examples", "obs")
+
+    @pytest.mark.parametrize("mechanism", ["bb", "lrp"])
+    def test_capture_regenerates(self, tmp_path, mechanism):
+        out = tmp_path / "capture.json"
+        assert obs_main(["provenance", str(out),
+                         "--mechanism", mechanism]) == 0
+        committed = os.path.join(self.EXAMPLES,
+                                 f"hashmap-{mechanism}.provenance.json")
+        with open(committed) as handle:
+            assert json.loads(out.read_text()) == json.load(handle)

@@ -5,8 +5,8 @@ import pytest
 from repro.common.params import MachineConfig
 from repro.consistency.events import MemOrder
 from repro.core.machine import Machine
-from repro.core.scheduler import Scheduler, SimThread
-from repro.core.thread import Op, OpKind, cas, load, store, work, xchg
+from repro.core.scheduler import Scheduler
+from repro.core.thread import cas, load, store, work, xchg
 
 CFG = MachineConfig(num_cores=4)
 
@@ -74,48 +74,6 @@ class TestSchedulingOrder:
             _scheduler([lambda t: iter(()), lambda t: iter(())],
                        config=config)
 
-    def test_max_ops_guard(self):
-        def forever(tid):
-            while True:
-                yield work(1)
-
-        sched, _ = _scheduler([forever])
-        sched.max_ops = 100
-        with pytest.raises(RuntimeError):
-            sched.run()
-
-    def test_max_ops_enforced_at_exact_budget(self):
-        """The guard trips as soon as op max_ops+1 is attempted — a
-        worker issuing exactly max_ops ops completes cleanly."""
-        def five_ops(tid):
-            for _ in range(5):
-                yield work(1)
-
-        sched, _ = _scheduler([lambda tid: five_ops(tid)])
-        sched.max_ops = 5
-        sched.run()  # exactly at the budget: no livelock report
-
-        sched, _ = _scheduler([lambda tid: five_ops(tid)])
-        sched.max_ops = 4
-        with pytest.raises(RuntimeError, match="max_ops=4"):
-            sched.run()
-
-    def test_max_ops_never_executes_more_than_budget(self):
-        executed = []
-
-        def forever(tid):
-            while True:
-                yield work(1)
-                executed.append(1)
-
-        sched, _ = _scheduler([forever])
-        sched.max_ops = 7
-        with pytest.raises(RuntimeError):
-            sched.run()
-        # The op that would exceed the budget was never executed.
-        assert len(executed) == 7
-
-
 class TestScheduleNudges:
     """The fuzzer's priority-nudge hook (repro.fuzz rides on this)."""
 
@@ -160,6 +118,41 @@ class TestScheduleNudges:
         sched.run()
         assert sched.executed_ops == 2
 
+    def test_nudge_ends_a_quantum(self):
+        """Thread 0 would run decisions 2-6 as one quantum; the nudge
+        at decision 3 hands that decision to thread 1."""
+        def stores(tid):
+            for value in range(5):
+                yield store(0x8, value)
+
+        def late(tid):
+            yield work(1000)
+            yield store(0x1000, 1)
+
+        config = MachineConfig(num_cores=4, record_trace=True)
+        sched, machine = _scheduler([stores, late], config=config)
+        sched.set_nudges({3: 1})
+        sched.run()
+        assert ([event.thread_id for event in machine.trace.events]
+                == [0, 0, 1, 0, 0, 0])
+
+    def test_nudge_on_finished_thread_repeats_the_decision(self):
+        """Decision 1 ranks [t1, t2, t0]: rank 5 % 3 picks t0, whose
+        generator is done, so decision 1 is taken again among two
+        threads and rank 5 % 2 runs t2 before t1."""
+        def once(tid):
+            yield work(10)
+
+        def writer(tid):
+            yield store(0x1000 * tid, tid)
+
+        config = MachineConfig(num_cores=4, record_trace=True)
+        sched, machine = _scheduler([once, writer, writer], config=config)
+        sched.set_nudges({1: 5})
+        sched.run()
+        assert [event.thread_id for event in machine.trace.events] == [2, 1]
+        assert sched.executed_ops == 3
+
     def test_empty_nudges_match_heap_makespan(self):
         def worker(cycles):
             def gen(tid):
@@ -171,18 +164,6 @@ class TestScheduleNudges:
         nudged, _ = _scheduler([worker(10), worker(25)])
         nudged.set_nudges({})
         assert plain.run() == nudged.run()
-
-    def test_max_ops_guard_active_under_nudges(self):
-        def forever(tid):
-            while True:
-                yield work(1)
-
-        sched, _ = _scheduler([forever])
-        sched.set_nudges({3: 1})
-        sched.max_ops = 50
-        with pytest.raises(RuntimeError, match="max_ops"):
-            sched.run()
-
 
 class TestMachineOps:
     def test_cas_result_tuple(self):
