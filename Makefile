@@ -48,7 +48,9 @@ test:
 # tests/test_provenance.py is marked slow; keep it that way. The same
 # holds for the killed-run contract in tests/test_exp_runner.py
 # (TestKilledRun: a SIGKILLed or Ctrl-C'd figures run resumes from the
-# result cache, and its pool workers exit with it).
+# result cache, and its pool workers exit with it; Ctrl-C on a pooled
+# `repro.exp` or `repro.fuzz` run, as on `figures`, ends in one stderr
+# line and exit status 130).
 smoke:
 	$(PYTEST) -q -m "not slow"
 
@@ -88,8 +90,8 @@ obsfast-smoke:
 # off (ABBA rounds, median ratio), every makespan byte-identical and
 # the streaming SLO reservoirs reconciled exactly against the stored
 # records. The snapshot is then compared against the committed
-# baseline (p50/p99/p999 and RTO gate as latency metrics, throughput
-# as quality; the makespans are exact anchors).
+# baseline (percentiles and other latency names gate as latency,
+# throughput as quality; the makespans are exact anchors).
 kv-smoke:
 	$(PY) -m repro.obs kvsmoke --bench-out BENCH_kv.json
 	$(PY) -m repro.bench.history --snapshots BENCH_kv.json

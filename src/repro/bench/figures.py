@@ -24,7 +24,6 @@ records paper-vs-measured for every figure.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.configs import (
@@ -44,6 +43,7 @@ from repro.exp.runner import (
     Job,
     RunSummary,
     get_default_runner,
+    run_cli,
 )
 from repro.lfds import WORKLOAD_NAMES
 from repro.workloads.harness import WorkloadSpec
@@ -407,7 +407,7 @@ class KVServiceResult:
     of its argument. LRP should match or beat BB on *response* latency
     (persists stay off the critical path) while paying for it in
     durability lag — requests whose effects reach NVM long after the
-    client saw the reply, which the RTO columns price as lost work on
+    client saw the reply, which the lost column prices as lost work on
     an un-synced crash.
     """
 
@@ -441,14 +441,13 @@ class KVServiceResult:
                 payload["latency"]["p999"],
                 payload["durable_latency"]["p99"],
                 payload["durable_latency"]["max_lag"],
-                recovery.get("rto", {}).get("mean_cycles", "-"),
                 recovery.get("lost_requests", {}).get("mean", "-"),
             ])
         return render_table(
             "KV service: open-loop request SLOs per mechanism "
             "(cycles; lost = completed-but-not-durable at a crash)",
             ["mechanism", "makespan", "req/kcyc", "p50", "p99", "p999",
-             "durable p99", "max lag", "RTO mean", "lost mean"], rows)
+             "durable p99", "max lag", "lost mean"], rows)
 
 
 def run_figure_kv(*, scale: str = "quick", structure: str = "hashmap",
@@ -459,7 +458,7 @@ def run_figure_kv(*, scale: str = "quick", structure: str = "hashmap",
     """The KV-service SLO comparison (one job per mechanism).
 
     Workers run with ``collect_spans`` so the SLO payload (latency and
-    durable-latency percentiles, crash RTO, lost requests) comes back
+    durable-latency percentiles, crash outcomes, lost requests) comes back
     precomputed in ``RunSummary.obs["slo"]``; the crash campaign reuses
     the recovery machinery at ``crash_points`` sampled log prefixes.
     """
@@ -764,11 +763,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except KeyboardInterrupt:
-        # Cells that finished before the interrupt are in the result
-        # cache, so rerunning the same command resumes the sweep.
-        print("repro.bench.figures: interrupted; rerun the same "
-              "command to resume from the result cache", file=sys.stderr)
-        sys.exit(130)
+    # Cells that finished before an interrupt are in the result cache,
+    # so rerunning the same command resumes the sweep.
+    run_cli(main, "repro.bench.figures",
+            "rerun the same command to resume from the result cache")

@@ -17,7 +17,7 @@ regression dashboard:
     threshold;
   - **quality** (``speedup*``, ``*hit_rate``, ``*throughput*``) —
     higher is better, same noise allowance;
-  - **latency** (``p50``/``p99``/``p999``/``rto``/``latency`` names
+  - **latency** (``p50``/``p99``/``p999``/``latency`` names
     from the KV-service SLO layer) — lower is better with the timing
     tolerance, but a distinct kind so SLO percentiles are never
     cross-gated against wall-clock timing names;
@@ -78,7 +78,7 @@ INFO_MARKERS = ("suite.", "spec.", "cpu_count", "workers", "jobs",
                 # ``kv.<mech>.recovery.recovered`` and
                 # ``recovered_fraction``): how many sampled crash points
                 # recovered, context for the gated crash metrics beside
-                # them (``attempts``, ``lost_requests``, ``rto``).
+                # them (``attempts``, ``lost_requests``).
                 "recovered",
                 # Cache-hit wall times (BENCH_runner.json
                 # ``cache.warm_seconds``, BENCH_figures.json
@@ -88,12 +88,12 @@ INFO_MARKERS = ("suite.", "spec.", "cpu_count", "workers", "jobs",
                 "warm_seconds")
 
 #: Simulated-cycle service-level metrics from the KV-service SLO layer
-#: (BENCH_kv.json): request latency percentiles and recovery-time
-#: objectives. Lower is better and they gate with the same generous
+#: (BENCH_kv.json): request and durable latency percentiles. Lower
+#: is better and they gate with the same generous
 #: tolerance as timing metrics — but under their own kind, so a
 #: latency-percentile name can never be confused with (or cross-gated
 #: against) a wall-clock ``*_seconds`` timing name.
-LATENCY_MARKERS = ("p50", "p90", "p99", "p999", "rto", "latency")
+LATENCY_MARKERS = ("p50", "p90", "p99", "p999", "latency")
 
 
 def flatten(data: object, prefix: str = "") -> Dict[str, Scalar]:

@@ -92,79 +92,27 @@ class Machine:
             # the mechanism reports until the next op belongs to it
             # (downgrade stalls hit the requester — this core).
             obs.provenance.begin_op(op.site)
-        stats = self.stats[core]
-        line_addr = line_address(op.addr, self.config.line_bytes)
-        exclusive = kind is not _READ
-        access = self.fabric.access(core, line_addr, exclusive=exclusive,
-                                    now=now)
-        latency = access.latency
-        if access.l1_hit:
-            stats.l1_hits += 1
-        else:
-            stats.l1_misses += 1
-
-        # Coherence side effects -> persistency hooks.
-        if access.downgrade is not None:
-            dg = access.downgrade
-            self.stats[dg.owner].downgrades_received += 1
-            if dg.was_modified and not dg.had_pending:
-                # A data writeback of an already-persisted line: counts
-                # toward the writeback total (Figure 6's denominator)
-                # but can never be on the critical path.
-                self.stats[dg.owner].writebacks_total += 1
-            if obs is not None:
-                obs.count("coh.downgrades")
-                if dg.had_pending:
-                    obs.count("coh.downgrades_dirty")
-                obs.tick("coh.downgrades", now + latency)
-                obs.instant(f"core{core}", f"downgrade c{dg.owner}",
-                            now + latency, cat="coherence")
-            latency += self.mechanism.on_downgrade(
-                dg.owner, dg.line, dg.to_state, core, now + latency)
-            if dg.line.has_pending:
-                raise AssertionError(
-                    f"{self.mechanism.name}: downgraded line "
-                    f"{dg.line.addr:#x} still holds unpersisted words")
-        if access.eviction is not None:
-            ev = access.eviction
-            stats.evictions += 1
-            if ev.was_modified and not ev.had_pending:
-                stats.writebacks_total += 1
-            if obs is not None:
-                obs.count("coh.evictions")
-                if ev.had_pending:
-                    obs.count("coh.evictions_dirty")
-                obs.tick("coh.evictions", now + latency)
-                obs.instant(f"core{core}", "evict", now + latency,
-                            cat="coherence")
-            latency += self.mechanism.on_evict(core, ev.line, now + latency)
-            if ev.line.has_pending:
-                raise AssertionError(
-                    f"{self.mechanism.name}: evicted line "
-                    f"{ev.line.addr:#x} still holds unpersisted words")
-        stats.invalidations_received += access.invalidated_sharers
-        if obs is not None and access.invalidated_sharers:
-            obs.count("coh.invalidations", access.invalidated_sharers)
+        line, latency = self.coherence_access(
+            core, line_address(op.addr, self.config.line_bytes), now,
+            kind is not _READ)
 
         # The operation itself.
         if kind is _READ:
             result, latency = self._do_read(core, op, now, latency)
         elif kind is _WRITE:
-            result, latency = self._do_write(core, op, access.line, now,
-                                             latency)
+            result, latency = self._do_write(core, op, line, now, latency)
         else:
-            result, latency = self._do_rmw(core, op, access.line, now,
-                                           latency)
+            result, latency = self._do_rmw(core, op, line, now, latency)
         return result, latency
 
     def coherence_access(self, core: int, line_addr: int, now: int,
                          exclusive: bool) -> Tuple[object, int]:
         """Coherence access plus persistency side-effect hooks.
 
-        The batch engine's slow-op path: exactly the fabric/hook prefix
-        of :meth:`execute` — same stats, same hook order, same
-        assertions, and (when an Observer is attached) the same
-        ``coh.*`` narration.
+        The fabric/hook prefix of :meth:`execute`, and the batch
+        engine's slow-op path: the fabric access, the mechanism's
+        downgrade and eviction hooks with their assertions, the stats
+        and (when an Observer is attached) the ``coh.*`` narration.
         Returns the requester's now-valid line and the accumulated
         latency; the caller applies the operation itself
         (:meth:`_do_read` & friends or the batch engine's inline
@@ -631,19 +579,21 @@ class Machine:
     # Phase management
     # ------------------------------------------------------------------
 
-    def install_initial_state(self, words, *, share: bool = False) -> None:
+    def install_initial_state(self, words, *, share: bool = False,
+                              walks=None) -> None:
         """Install pre-built durable state (the pre-populated LFD).
 
         Used instead of executing the setup phase op-by-op: the words
         become both architectural memory and the NVM baseline image, as
         if a quiesced checkpoint had been taken (Section 6.1: "the data
         structure size refers to the initial number of nodes ... before
-        statistics are collected").
+        statistics are collected"). ``walks`` is the walk store kept
+        beside shared ``words`` (:meth:`NVMController.set_baseline_image`).
         """
         if len(self.trace):
             raise ValueError("install initial state before executing ops")
         self.trace.initialize(words, share=share)
-        self.nvm.set_baseline_image(words, share=share)
+        self.nvm.set_baseline_image(words, share=share, walks=walks)
         self.boundary_event = 0
 
     def checkpoint(self, now: int) -> None:

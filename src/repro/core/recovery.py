@@ -20,6 +20,16 @@ such a delta walk might find a problem or hit a bound, or has no memo,
 the structure's unchanged full walker runs instead, so the full walker
 writes every failing report and stays the reference the delta walks
 are tested against.
+
+Every campaign starts at prefix 0, the pre-populated baseline, and
+``simulate`` installs one shared baseline for all runs of a setup
+prototype. Its passing memo walk is kept in a walk store beside the
+prototype, keyed by the structure's class and layout, and the first
+validation of a later campaign over the same baseline starts from it
+instead of walking again. The store lives as long as the prototype
+(until the setup cache evicts it or ``clear_setup_cache`` runs); a
+baseline from ``Machine.checkpoint`` or an unshared install has none,
+and a change to an image that the controller did not make drops it.
 """
 
 from __future__ import annotations

@@ -42,14 +42,18 @@ from repro.workloads.harness import (
 # the prototype structure (cheap — LFDs hold scalars and allocators,
 # never the word image) and *shares* the frozen memory image
 # (installed with share=True; the trace still takes its own mutable
-# copy of the architectural memory).
+# copy of the architectural memory). Beside the pair sits the image's
+# walk store (repro.memory.nvm.CrashImage): crash campaigns over runs
+# of one prototype validate its unchanged baseline once per structure
+# layout, and the store goes when the prototype does.
 
 _PROTO_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _PROTO_CACHE_MAX = 8
 
 
 def _setup_prototype(spec: WorkloadSpec, config: MachineConfig
-                     ) -> Tuple[LogFreeStructure, Dict[int, Optional[int]]]:
+                     ) -> Tuple[LogFreeStructure, Dict[int, Optional[int]],
+                                Dict[tuple, tuple]]:
     key = (spec.structure, spec.initial_size, spec.effective_key_range,
            spec.seed, config.line_bytes)
     entry = _PROTO_CACHE.get(key)
@@ -66,7 +70,7 @@ def _setup_prototype(spec: WorkloadSpec, config: MachineConfig
         finally:
             if gc_was_enabled:
                 gc.enable()
-        entry = (structure, memory)
+        entry = (structure, memory, {})
         _PROTO_CACHE[key] = entry
         if len(_PROTO_CACHE) > _PROTO_CACHE_MAX:
             _PROTO_CACHE.popitem(last=False)
@@ -76,7 +80,8 @@ def _setup_prototype(spec: WorkloadSpec, config: MachineConfig
 
 
 def clear_setup_cache() -> None:
-    """Drop memoized setup prototypes (tests / memory pressure)."""
+    """Drop memoized setup prototypes and their walk stores (tests /
+    memory pressure)."""
     _PROTO_CACHE.clear()
 
 
@@ -148,9 +153,9 @@ def simulate(spec: WorkloadSpec,
     if spec.num_threads > config.num_cores:
         config = dataclasses.replace(config, num_cores=spec.num_threads)
     machine = Machine(config, mechanism, observer=observer)
-    proto_structure, proto_memory = _setup_prototype(spec, config)
+    proto_structure, proto_memory, walks = _setup_prototype(spec, config)
     structure = copy.deepcopy(proto_structure)
-    machine.install_initial_state(proto_memory, share=True)
+    machine.install_initial_state(proto_memory, share=True, walks=walks)
 
     outcomes: List[List[Outcome]] = [[] for _ in range(spec.num_threads)]
     # Op-site tagging feeds only the provenance tracker; skip the

@@ -27,7 +27,7 @@ from repro.bench.configs import SCALED_CONFIG, bench_config
 from repro.exp.cache import (ResultCache, execute_prune, plan_prune,
                              read_stats_since_marker, write_stats_marker)
 from repro.exp.progress import ProgressReporter
-from repro.exp.runner import ExperimentRunner, Job, RunSummary
+from repro.exp.runner import ExperimentRunner, Job, RunSummary, run_cli
 from repro.workloads.harness import WorkloadSpec
 
 #: Reduced-size suite: every LFD x every Figure 5 mechanism, small
@@ -325,4 +325,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main, "repro.exp")

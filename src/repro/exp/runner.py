@@ -28,8 +28,9 @@ same jobs again: finished ones come back as cache hits and only the
 rest execute. ``tests/test_exp_runner.py`` pins this on a SIGKILLed
 ``repro.bench.figures`` run, and on one interrupted with Ctrl-C
 (SIGINT to its process group): pool workers ignore SIGINT, and the
-runner terminates them and re-raises ``KeyboardInterrupt`` for the
-CLI to report in one line.
+runner terminates them and re-raises ``KeyboardInterrupt``;
+:func:`run_cli`, the entry point of every CLI that takes ``--jobs``,
+reports it in one line.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ import dataclasses
 import hashlib
 import os
 import signal
+import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import MachineConfig
 from repro.common.stats import RunStats
@@ -78,7 +80,7 @@ class Job:
     # clocks; for KVServiceSpec jobs the worker additionally computes
     # the SLO payload (repro.obs.slo.service_report) into
     # ``RunSummary.obs["slo"]``, reusing ``crash_points``/``crash_seed``
-    # for its RTO metering. Bit-identical and batch-engine-compatible.
+    # for its crash outcomes. Bit-identical and batch-engine-compatible.
     collect_spans: bool = False
     # Schedule perturbation (repro.fuzz): ((decision_index, rank), ...)
     # priority nudges installed on the scheduler before the run.
@@ -334,10 +336,13 @@ class ExperimentRunner:
             except KeyboardInterrupt:
                 # The workers ignore SIGINT: end them now instead of
                 # after their current and queued jobs. Finished jobs
-                # are already in the cache.
+                # are already in the cache. Waiting for the pool's
+                # manager thread keeps it from racing the interpreter's
+                # exit hook, which then writes to its closed wakeup
+                # pipe and prints a traceback.
                 for process in list(pool._processes.values()):
                     process.terminate()
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=True, cancel_futures=True)
                 raise
 
     def _store(self, key: Optional[str],
@@ -376,6 +381,20 @@ def set_default_runner(runner: Optional[ExperimentRunner]) -> None:
     """Install (or with None, reset) the process-wide default runner."""
     global _default_runner
     _default_runner = runner
+
+
+def run_cli(main: Callable[[], Optional[int]], prog: str,
+            hint: str = "") -> None:
+    """Run a CLI's ``main`` and exit with its status; on Ctrl-C print
+    one line to stderr and exit with status 130 (128 + SIGINT)
+    instead of a traceback. ``hint`` is appended to that line."""
+    try:
+        status = main()
+    except KeyboardInterrupt:
+        print(f"{prog}: interrupted{'; ' + hint if hint else ''}",
+              file=sys.stderr)
+        status = 130
+    sys.exit(status)
 
 
 def make_runner(jobs: Optional[int] = None, use_cache: bool = False,

@@ -27,6 +27,7 @@ import sys
 import tempfile
 from typing import List, Optional, Sequence
 
+from repro.exp.runner import run_cli
 from repro.fuzz.engine import CampaignConfig, CampaignResult, run_campaign
 from repro.fuzz.reprofile import replay_repro
 
@@ -211,4 +212,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main, "repro.fuzz")

@@ -24,7 +24,7 @@ that *holds* the link as logically deleted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Generator, Iterable, List, Optional, Set
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.core.thread import Op, store
 from repro.memory.address import WORD_BYTES, HeapAllocator
@@ -94,6 +94,11 @@ class LogFreeStructure:
 
     name = "lfd"
 
+    #: The attributes a campaign walk reads from the structure itself.
+    #: With the class, their values key the structure's walks in a
+    #: baseline's walk store, so another layout never reuses a walk.
+    _walk_layout: Tuple[str, ...] = ()
+
     def __init__(self, allocator: HeapAllocator) -> None:
         self.allocator = allocator
         self._arenas: Dict[int, HeapAllocator] = {}
@@ -138,25 +143,42 @@ class LogFreeStructure:
         None when the full walker must run.
 
         A structure that supports campaigns defines two walks:
-        ``_record_walk(image)`` returns ``(memo, reachable, live)`` and
+        ``_record_walk(image)`` returns ``(memo, reachable, keys)``,
+        where ``keys`` is the memo's own sequence of the live keys, and
         ``_delta_walk(image, memo, written)`` returns ``(reachable,
         live)``, where ``written`` holds the addresses written since
         the memo's prefix. Either returns None wherever the full walker
         might report a problem or hit its bound, so every failing
         report comes from the full walker. The first call on an image
         records the memo, and later calls re-walk only what the
-        written words can reach.
+        written words can reach. At prefix 0 the image is its
+        baseline, so a passing record walk goes into the baseline's
+        walk store, keyed by the class and ``_walk_layout``, and the
+        first call of a later campaign over that baseline reuses it.
+        Walks and memos are only read once made, and every report gets
+        a live set of its own.
         """
         memos = getattr(image, "walk_memos", None)
         if memos is None:
             return None
         entry = memos.get(self)
         if entry is None:
-            found = self._record_walk(image)
+            store = image.baseline_walks if image.prefix == 0 else None
+            if store is not None:
+                key = (type(self),) + tuple(
+                    getattr(self, name) for name in self._walk_layout)
+                found = store.get(key)
+            else:
+                found = None
             if found is None:
-                return None
-            memo, reachable, live = found
+                found = self._record_walk(image)
+                if found is None:
+                    return None
+                if store is not None:
+                    store[key] = found
+            memo, reachable, keys = found
             memos[self] = (image.prefix, memo)
+            live = set(keys)
         else:
             prefix, memo = entry
             found = self._delta_walk(image, memo,

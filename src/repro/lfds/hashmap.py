@@ -31,6 +31,7 @@ class HashMap(LogFreeStructure):
     """Lock-free hash table (Michael, SPAA'02)."""
 
     name = "hashmap"
+    _walk_layout = ("buckets_base", "num_buckets", "_stride", "_max_chain")
 
     def __init__(self, allocator: HeapAllocator, num_buckets: int = 256,
                  max_chain: int = 1 << 16,
@@ -109,7 +110,7 @@ class HashMap(LogFreeStructure):
         reachable = sum(counts)
         if len(owner) != reachable:
             return None   # a node on two chains: its words feed both
-        return (owner, counts, starts, keys), reachable, set(keys)
+        return (owner, counts, starts, keys), reachable, keys
 
     def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
         owner, counts, starts, keys = memo

@@ -101,6 +101,7 @@ class NMTree(LogFreeStructure):
     """
 
     name = "bstree"
+    _walk_layout = ("R", "_max_nodes")
 
     def __init__(self, allocator: HeapAllocator,
                  max_nodes: int = 1 << 22) -> None:
@@ -479,7 +480,7 @@ class NMTree(LogFreeStructure):
             if not sizes[i]:
                 right_size = sizes[i + 1]
                 sizes[i] = 1 + right_size + sizes[i + 1 + right_size]
-        return (index_of, sizes, keys, live_at, live), count, set(live)
+        return (index_of, sizes, keys, live_at, live), count, live
 
     def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
         index_of, sizes, keys, live_at, live_order = memo

@@ -65,6 +65,7 @@ class SkipList(LogFreeStructure):
     """Lock-free skip list with key-deterministic tower heights."""
 
     name = "skiplist"
+    _walk_layout = ("head", "max_level", "_max_nodes")
 
     def __init__(self, allocator: HeapAllocator, max_level: int = 14,
                  max_nodes: int = 1 << 22) -> None:
@@ -402,7 +403,7 @@ class SkipList(LogFreeStructure):
         key_of: Dict[int, int] = {}
         for nodes, keys in chains:
             key_of.update(zip(nodes, keys))
-        return (chains, key_of, live_at, live), len(chains[0][0]), set(live)
+        return (chains, key_of, live_at, live), len(chains[0][0]), live
 
     def _delta_walk(self, image: Dict[int, Word], memo, written: Set[int]):
         chains, key_of, live_at, live_order = memo

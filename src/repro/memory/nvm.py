@@ -56,11 +56,19 @@ class CrashImage(dict):
     over ascending prefixes copies the baseline only once. Validators
     may leave one walk memo per structure in ``walk_memos``, keyed by
     the structure, as ``(prefix, memo)``; :meth:`written_since` names
-    the words that changed since. A change not made by the controller
-    drops every memo (see ``_forgetting`` below).
+    the words that changed since.
+
+    ``baseline_walks`` is the walk store of a shared baseline, or None:
+    a dict that outlives the image, in which validators keep the
+    passing walks of the baseline itself (prefix 0), so the campaigns
+    over every run installed from one setup prototype walk that
+    baseline once per structure layout. The store lives as long as
+    the prototype (``repro.core.simulator``). A change not made by
+    the controller drops every memo and the store (see
+    ``_forgetting`` below).
     """
 
-    __slots__ = ("nvm", "log", "prefix", "walk_memos")
+    __slots__ = ("nvm", "log", "prefix", "walk_memos", "baseline_walks")
 
     def written_since(self, prefix: int) -> Set[int]:
         """Addresses written by the persists from ``prefix`` up to this
@@ -74,12 +82,14 @@ class CrashImage(dict):
 
 
 def _forgetting(name: str):
-    """``dict.<name>`` that first drops the image's walk memos: a memo
-    can only account for the words that persists wrote."""
+    """``dict.<name>`` that first drops the image's walk memos and its
+    baseline's walk store: a memo can only account for the words that
+    persists wrote, and the store only for the baseline."""
     method = getattr(dict, name)
 
     def mutate(self, *args, **kwargs):
         self.walk_memos.clear()
+        self.baseline_walks = None
         return method(self, *args, **kwargs)
 
     mutate.__name__ = name
@@ -105,6 +115,8 @@ class NVMController:
         # (the pre-populated data structure).
         self._baseline_image: Dict[int, Word] = {}
         self._baseline_events: Dict[int, int] = {}
+        # The shared baseline's walk store (see CrashImage), if any.
+        self._baseline_walks: Optional[Dict[tuple, tuple]] = None
 
     @property
     def config(self) -> MachineConfig:
@@ -233,12 +245,17 @@ class NVMController:
 
     def set_baseline_image(self, words: Dict[int, Word],
                            events: Optional[Dict[int, int]] = None, *,
-                           share: bool = False) -> None:
+                           share: bool = False,
+                           walks: Optional[Dict[tuple, tuple]] = None
+                           ) -> None:
         """Install pre-populated durable state (setup-phase checkpoint).
 
         With ``share`` the dicts are adopted without copying; the
         caller must never mutate them afterwards (the controller itself
-        only ever reads the baseline).
+        only ever reads the baseline). ``walks`` is the walk store kept
+        beside a shared baseline, handed to every fresh image (see
+        :class:`CrashImage`); a copied baseline is a new one, and
+        starts without a store.
         """
         if share:
             self._baseline_image = words
@@ -246,6 +263,8 @@ class NVMController:
         else:
             self._baseline_image = dict(words)
             self._baseline_events = dict(events or {})
+            walks = None
+        self._baseline_walks = walks
         self._sorted = None   # images of the old baseline cannot advance
 
     def baseline_image(self) -> Dict[int, Word]:
@@ -270,13 +289,15 @@ class NVMController:
         log at a prefix no larger than ``prefix_len``, that image is
         advanced in place by the persists in between and returned;
         anything else raises ``ValueError``. Without it, the image is a
-        fresh copy of the baseline.
+        fresh copy of the baseline that carries the baseline's walk
+        store.
         """
         log = self._checked_log(prefix_len)
         if since is None:
             image = CrashImage(self._baseline_image)
             image.nvm, image.log, image.prefix = self, log, 0
             image.walk_memos = {}
+            image.baseline_walks = self._baseline_walks
         elif (not isinstance(since, CrashImage) or since.nvm is not self
               or since.log is not log or since.prefix > prefix_len):
             raise ValueError(

@@ -29,7 +29,7 @@ Subcommands:
   ``BENCH_obsfast.json``;
 * ``slo`` — run the KV-service workload with request-span tracking and
   print the service report: throughput, exact p50/p99/p999 request and
-  durable latency, windowed sparklines, optional crash-RTO table
+  durable latency, windowed sparklines, optional crash columns
   (``--crash-points``), per-request CSV (``--csv``), request spans as
   a Chrome trace (``--trace-out``) and the JSON payload
   (``--json-out``);
@@ -630,12 +630,8 @@ def _kv_run(spec: KVServiceSpec, mechanism: str, config: MachineConfig,
                                 persist_log=result.nvm.persist_log())
     payload = slo.slo_summary(records, result.makespan)
     if crash_points is not None:
-        result._slo_records = records
-        try:
-            payload["recovery"] = slo.rto_summary(result, crash_points,
-                                                  crash_seed)
-        finally:
-            del result._slo_records
+        payload["recovery"] = slo.recovery_summary(
+            result, crash_points, crash_seed, records)
     return result, records, payload
 
 
@@ -643,13 +639,11 @@ def _render_kv_rows(payloads: dict) -> List[str]:
     """The per-mechanism service-comparison table."""
     lines = [f"{'mech':5s} {'makespan':>9s} {'req/kcyc':>9s} "
              f"{'p50':>7s} {'p99':>7s} {'p999':>7s} "
-             f"{'d.p99':>7s} {'d.lag':>7s} {'rto':>8s} {'lost':>6s}"]
+             f"{'d.p99':>7s} {'d.lag':>7s} {'lost':>6s}"]
     for mechanism, payload in payloads.items():
         latency = payload["latency"]
         durable = payload["durable_latency"]
         recovery = payload.get("recovery")
-        rto = (f"{recovery['rto']['mean_cycles']:8.0f}"
-               if recovery else f"{'-':>8s}")
         lost = (f"{recovery['lost_requests']['mean']:6.1f}"
                 if recovery and "lost_requests" in recovery
                 else f"{'-':>6s}")
@@ -658,7 +652,7 @@ def _render_kv_rows(payloads: dict) -> List[str]:
             f"{payload['throughput_rpkc']:9.2f} "
             f"{latency['p50']:7d} {latency['p99']:7d} "
             f"{latency['p999']:7d} {durable['p99']:7d} "
-            f"{durable['max_lag']:7d} {rto} {lost}")
+            f"{durable['max_lag']:7d} {lost}")
     return lines
 
 
@@ -742,7 +736,7 @@ def cmd_kvsmoke(args: argparse.Namespace) -> int:
     (span tracking must not perturb the simulation) and streaming
     percentiles exactly equal to the stored-record percentiles. The
     snapshot also carries the lrp/bb/sb SLO payloads so
-    the history dashboard gates service latency/throughput/RTO drift.
+    the history dashboard gates service latency/throughput drift.
     """
     import time
 
@@ -970,7 +964,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     slo_parser = subparsers.add_parser(
         "slo",
         help="KV-service report: throughput, exact latency "
-             "percentiles, durability lag, crash RTO")
+             "percentiles, durability lag, crash losses")
     slo_parser.add_argument(
         "--mechanisms", nargs="+", default=list(KV_MECHANISMS),
         help="mechanisms to compare (default: %(default)s)")
@@ -992,8 +986,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             help="uncached NVM mode")
     slo_parser.add_argument(
         "--crash-points", type=int, default=8,
-        help="crash prefixes sampled for the RTO table; 0 disables "
-             "(default: %(default)s)")
+        help="crash prefixes sampled for the lost-request column; "
+             "0 disables (default: %(default)s)")
     slo_parser.add_argument(
         "--interval", type=int, default=DEFAULT_TIMELINE_INTERVAL,
         help="sparkline window width in cycles (default: %(default)s)")
@@ -1035,7 +1029,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "(default: %(default)s)")
     kvsmoke_parser.add_argument(
         "--crash-points", type=int, default=8,
-        help="crash prefixes per mechanism for the RTO payload "
+        help="crash prefixes per mechanism for the recovery payload "
              "(default: %(default)s)")
     kvsmoke_parser.add_argument(
         "--overhead-limit", type=float, default=15.0,

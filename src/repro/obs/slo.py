@@ -1,4 +1,4 @@
-"""Service-level objectives over request spans: latency, throughput, RTO.
+"""Service-level objectives over request spans: latency, throughput, crashes.
 
 Everything here is *post hoc*: the execution loops record one boundary
 clock per request (:mod:`repro.obs.spans`); this module reconstructs
@@ -32,11 +32,13 @@ full request records from them and computes the service story —
   value -> count map (cycles are small ints), so its nearest-rank
   quantiles are *exact* and the selftest reconciles them against
   sorting the stored per-request records — no approximation to trust.
-* **RTO metering.** Crash the finished run at sampled persist-log
+* **crash outcomes.** Crash the finished run at sampled persist-log
   prefixes (:func:`repro.core.recovery.crash_points`), validate null
-  recovery, and meter cycles-to-recovered-state as an image scan plus
-  structure validation charge, alongside the requests that had
-  completed but not yet persisted (lost on an un-synced crash).
+  recovery, and count the requests that had completed but not yet
+  persisted (lost on an un-synced crash). No recovery time is metered:
+  null recovery is the same scan of the durable image under every
+  mechanism that recovers, so a cycle charge for it would not tell
+  them apart.
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
-
-#: Recovery scan cost: cycles per word of the crash image (a recovery
-#: process must at least read the durable heap once).
-RTO_SCAN_CYCLES_PER_WORD = 4
-
-#: Fixed recovery overhead (process restart, root discovery).
-RTO_BASE_CYCLES = 1000
 
 #: Chrome-trace process id for the request-span track (core/stall/
 #: engine/nvm tracks use 1-4, timeline counters 5).
@@ -304,34 +299,30 @@ def slo_summary(records: Sequence[RequestRecord],
     return summary
 
 
-def rto_summary(result, num_points: int = 8,
-                seed: int = 0) -> Dict[str, object]:
-    """Crash-RTO metering over sampled persist-log prefixes.
+def recovery_summary(result, num_points: int = 8, seed: int = 0,
+                     records: Sequence[RequestRecord] = ()
+                     ) -> Dict[str, object]:
+    """Crash outcomes over sampled persist-log prefixes.
 
-    Per crash point: does null recovery succeed, how many cycles does
-    the recovery scan cost, and how many requests had completed but
-    were not yet durable (lost work on an un-synced crash). Requests
-    completed/lost need spans; without them pass records=().
+    Per crash point: does null recovery succeed, and how many requests
+    had completed but were not yet durable (lost work on an un-synced
+    crash). The lost counts need the run's request ``records``;
+    without them the summary has no ``lost_requests``.
     """
     from repro.core.recovery import crash_points
 
     log = result.nvm.persist_log()
-    records = getattr(result, "_slo_records", ())
     completions = sorted(r.completion for r in records)
     durables = sorted(r.durable for r in records)
     points = crash_points(len(log), num_points, seed)
-    rtos: List[int] = []
     lost: List[int] = []
     recovered = 0
     image = None
     for prefix in points:   # ascending: one image advances through them
         crash_cycle = log[prefix - 1].complete_time if prefix else 0
         image = result.nvm.image_after_prefix(prefix, since=image)
-        words = len(image)
-        ok = result.structure.validate_image(image).ok
-        if ok:
+        if result.structure.validate_image(image).ok:
             recovered += 1
-        rtos.append(RTO_BASE_CYCLES + RTO_SCAN_CYCLES_PER_WORD * words)
         if completions:
             completed = bisect.bisect_right(completions, crash_cycle)
             durable = bisect.bisect_right(durables, crash_cycle)
@@ -341,10 +332,6 @@ def rto_summary(result, num_points: int = 8,
         "recovered": recovered,
         "recovered_fraction": round(recovered / len(points), 4)
         if points else 0.0,
-        "rto": {
-            "mean_cycles": round(sum(rtos) / len(rtos), 1) if rtos else 0,
-            "max_cycles": max(rtos) if rtos else 0,
-        },
     }
     if lost:
         summary["lost_requests"] = {
@@ -366,12 +353,8 @@ def service_report(result, spans,
                             persist_log=result.nvm.persist_log())
     payload = slo_summary(records, result.makespan)
     if num_crash_points is not None:
-        result._slo_records = records
-        try:
-            payload["recovery"] = rto_summary(result, num_crash_points,
-                                              crash_seed)
-        finally:
-            del result._slo_records
+        payload["recovery"] = recovery_summary(
+            result, num_crash_points, crash_seed, records)
     return payload
 
 

@@ -171,8 +171,8 @@ def arrival_times(spec: KVServiceSpec, thread_id: int) -> List[int]:
 
     Exponential inter-arrival gaps with mean ``mean_interarrival``;
     the first ``burst_len`` requests of every ``burst_period``-request
-    window arrive ``burst_factor``x faster — the mid-burst crash of
-    the RTO experiment lands inside one of these. Derived purely from
+    window arrive ``burst_factor``x faster — a mid-burst crash of the
+    SLO report's campaign lands inside one of these. Derived purely from
     the spec: the simulator never reads these timestamps, the SLO
     layer replays measured service times against them.
     """

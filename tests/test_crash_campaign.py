@@ -5,7 +5,9 @@ A campaign over ascending persist-log prefixes advances one crash image
 and NM tree validate it with walk memos and delta walks. Every report
 must equal what a fresh image and the structure's full walker give:
 the verdict, the problem texts, the reachable node count and the live
-key set.
+key set. The passing prefix-0 walk of a shared baseline is kept in the
+baseline's walk store, and later campaigns over runs of the same setup
+prototype start from it instead of walking again.
 """
 
 import copy
@@ -14,8 +16,9 @@ import pickle
 import pytest
 
 from repro.common.params import MachineConfig
+from repro.core.machine import Machine
 from repro.core.recovery import exhaustive_crash_test
-from repro.core.simulator import simulate
+from repro.core.simulator import clear_setup_cache, simulate
 from repro.lfds.base import field
 from repro.lfds.harris import KEY as H_KEY, NEXT as H_NEXT
 from repro.lfds.hashmap import HashMap
@@ -40,14 +43,9 @@ def _full_walk(structure, image):
     return _report(structure.validate_image(dict(image)))
 
 
-@pytest.mark.parametrize("seed", (1, 2, 3))
-@pytest.mark.parametrize("mechanism", MECHANISMS)
-@pytest.mark.parametrize("structure", ("hashmap", "bstree", "skiplist"))
-def test_every_prefix_matches_fresh_image_and_full_walker(
-        structure, mechanism, seed):
-    spec = WorkloadSpec(structure=structure, num_threads=4,
-                        initial_size=32, ops_per_thread=16, seed=seed)
-    result = simulate(spec, mechanism, CONFIG)
+def _check_every_prefix(result):
+    """Campaign over every prefix of ``result``, checked against fresh
+    images and the full walker."""
     nvm = result.nvm
     structure = result.structure
     campaign = exhaustive_crash_test(result)
@@ -61,16 +59,63 @@ def test_every_prefix_matches_fresh_image_and_full_walker(
         full = _full_walk(structure, fresh)
         assert _report(outcome.report) == full, prefix
         assert _report(structure.validate_image(image)) == full, prefix
+        assert _report(structure.validate_image(fresh)) == full, prefix
     # The pre-populated baseline always validates, so one memo, made at
     # prefix 0, served the whole campaign.
     assert image.walk_memos[structure][0] == 0
 
 
-def _controller(memory, *writes):
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("structure", ("hashmap", "bstree", "skiplist"))
+def test_every_prefix_matches_fresh_image_and_full_walker(
+        structure, mechanism, seed):
+    spec = WorkloadSpec(structure=structure, num_threads=4,
+                        initial_size=32, ops_per_thread=16, seed=seed)
+    _check_every_prefix(simulate(spec, mechanism, CONFIG))
+
+
+def _count_record_walks(monkeypatch):
+    """The prefixes at which memo-recording walks run from now on."""
+    prefixes = []
+    for klass in (HashMap, NMTree, SkipList):
+        def counted(self, image, _record=klass._record_walk):
+            prefixes.append(getattr(image, "prefix", None))
+            return _record(self, image)
+        monkeypatch.setattr(klass, "_record_walk", counted)
+    return prefixes
+
+
+@pytest.mark.parametrize("structure", ("hashmap", "bstree", "skiplist"))
+def test_campaigns_over_one_prototype_walk_its_baseline_once(
+        structure, monkeypatch):
+    clear_setup_cache()
+    recorded = _count_record_walks(monkeypatch)
+    spec = WorkloadSpec(structure=structure, num_threads=4,
+                        initial_size=32, ops_per_thread=16, seed=4)
+    for mechanism in MECHANISMS:
+        result = simulate(spec, mechanism, CONFIG)
+        _check_every_prefix(result)
+        # The first campaign walked the baseline; every later one
+        # started from its stored walk. (The fresh images at later
+        # prefixes walk for themselves.)
+        assert recorded.count(0) == 1, mechanism
+    # The campaigns only read the stored walk: it still equals a fresh
+    # walk of the baseline.
+    [stored] = result.nvm.image_after_prefix(0).baseline_walks.values()
+    assert stored == result.structure._record_walk(
+        result.nvm.baseline_image())
+    clear_setup_cache()
+    _check_every_prefix(simulate(spec, "lrp", CONFIG))
+    assert recorded.count(0) == 2
+
+
+def _controller(memory, *writes, walks=None):
     """A controller over the baseline ``memory`` whose log persists
-    each ``{addr: value}`` of ``writes``, in order."""
+    each ``{addr: value}`` of ``writes``, in order. With ``walks`` the
+    baseline is shared and carries that walk store."""
     nvm = NVMController(MachineConfig(num_memory_controllers=1))
-    nvm.set_baseline_image(memory)
+    nvm.set_baseline_image(memory, share=walks is not None, walks=walks)
     for step, words in enumerate(writes):
         nvm.issue_persist(min(words) & ~63,
                           {addr: (value, step) for addr, value in
@@ -313,3 +358,111 @@ def test_since_must_be_this_controllers_image_at_a_smaller_prefix():
     image = nvm.image_after_prefix(0)
     assert nvm.image_after_prefix(2, since=image) is image
     assert image == nvm.image_after_prefix(2)
+
+
+def test_stored_walk_serves_a_copy_of_the_structure():
+    hashmap, memory = _hashmap()
+    store = {}
+    nvm = _controller(memory, walks=store)
+    first = hashmap.validate_image(nvm.image_after_prefix(0))
+    assert first.ok and len(store) == 1
+    walk = next(iter(store.values()))
+    # A live set of its own: changing it leaves later reports intact.
+    first.live_keys.clear()
+    twin = copy.deepcopy(hashmap)
+    image = nvm.image_after_prefix(0)
+    assert _report(twin.validate_image(image)) == \
+        _full_walk(hashmap, memory)
+    assert image.walk_memos[twin] == (0, walk[0])
+    assert list(store.values()) == [walk]
+    assert hashmap.validate_image(nvm.image_after_prefix(0)).live_keys \
+        == set(range(12))
+
+
+def test_another_layout_over_the_same_baseline_walks_for_itself(
+        monkeypatch):
+    hashmap, memory = _hashmap()
+    store = {}
+    nvm = _controller(memory, walks=store)
+    assert hashmap.validate_image(nvm.image_after_prefix(0)).ok
+    recorded = _count_record_walks(monkeypatch)
+    # The same bucket array read as its first two buckets.
+    halved = copy.deepcopy(hashmap)
+    halved.num_buckets = 2
+    report = halved.validate_image(nvm.image_after_prefix(0))
+    assert _report(report) == _full_walk(halved, memory)
+    assert report.live_keys == {0, 1, 4, 5, 8, 9}
+    assert recorded == [0] and len(store) == 2
+    # Read as three buckets, bucket 1's key 5 hashes elsewhere; a walk
+    # that fails stores nothing.
+    thirds = copy.deepcopy(hashmap)
+    thirds.num_buckets = 3
+    for _ in range(2):
+        report = thirds.validate_image(nvm.image_after_prefix(0))
+        assert _report(report) == _full_walk(thirds, memory)
+        assert not report.ok
+    assert recorded == [0, 0, 0] and len(store) == 2
+
+
+@pytest.mark.parametrize("name", ("hashmap", "skiplist", "bstree"))
+def test_failing_baseline_stores_no_walk(name, monkeypatch):
+    structure, memory, link = _ghost_link(name)
+    memory[link] = GHOST
+    store = {}
+    nvm = _controller(memory, walks=store)
+    recorded = _count_record_walks(monkeypatch)
+    for _ in range(2):
+        report = structure.validate_image(nvm.image_after_prefix(0))
+        assert _report(report) == _full_walk(structure, memory)
+        assert not report.ok
+    assert recorded == [0, 0] and store == {}
+
+
+def test_image_changed_outside_the_controller_leaves_the_store(
+        monkeypatch):
+    hashmap, memory = _hashmap()
+    store = {}
+    nvm = _controller(memory, walks=store)
+    assert hashmap.validate_image(nvm.image_after_prefix(0)).ok
+    stored = dict(store)
+    recorded = _count_record_walks(monkeypatch)
+    # Broken and then clean again: it must not read the stored walk of
+    # the clean baseline while broken, nor store its own walk after.
+    image = nvm.image_after_prefix(0)
+    image[hashmap.bucket_ptr(3)] = GHOST
+    broken = hashmap.validate_image(image)
+    assert _report(broken) == _full_walk(hashmap, image)
+    assert not broken.ok and image.baseline_walks is None
+    image[hashmap.bucket_ptr(3)] = memory[hashmap.bucket_ptr(3)]
+    assert copy.deepcopy(hashmap).validate_image(image).ok
+    assert recorded == [0, 0]
+    assert store == stored
+
+
+def test_new_baselines_have_no_store():
+    memory = _hashmap()[1]
+    machine = Machine(CONFIG, "lrp")
+    machine.install_initial_state(memory)
+    assert machine.nvm.image_after_prefix(0).baseline_walks is None
+    nvm = NVMController(CONFIG)
+    nvm.set_baseline_image(memory, walks={})   # copied: a new baseline
+    assert nvm.image_after_prefix(0).baseline_walks is None
+    machine = Machine(CONFIG, "lrp")
+    machine.install_initial_state(memory, share=True, walks={})
+    assert machine.nvm.image_after_prefix(0).baseline_walks == {}
+    machine.checkpoint(0)
+    assert machine.nvm.image_after_prefix(0).baseline_walks is None
+
+
+def test_clear_setup_cache_drops_the_stores():
+    spec = WorkloadSpec(structure="hashmap", num_threads=4,
+                        initial_size=32, ops_per_thread=4, seed=5)
+    clear_setup_cache()
+    first = simulate(spec, "sb", CONFIG).nvm.image_after_prefix(0)
+    assert first.baseline_walks == {}
+    again = simulate(spec, "bb", CONFIG).nvm.image_after_prefix(0)
+    assert again.baseline_walks is first.baseline_walks
+    clear_setup_cache()
+    fresh = simulate(spec, "bb", CONFIG).nvm.image_after_prefix(0)
+    assert fresh.baseline_walks == {}
+    assert fresh.baseline_walks is not first.baseline_walks

@@ -377,6 +377,41 @@ def _kill_session(proc):
     proc.wait()
 
 
+def _wait_for_pool_ignoring_sigint(proc, workers=2):
+    """Wait until ``proc`` has ``workers`` children that all ignore
+    SIGINT: pool workers past their initializer, so a Ctrl-C now finds
+    the runner inside its pool."""
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    if not children.exists():
+        pytest.skip("no /proc/<pid>/task/<pid>/children here")
+    deadline = time.monotonic() + 120
+    while True:
+        assert proc.poll() is None, "exited before its pool started"
+        assert time.monotonic() < deadline, "no pool workers"
+        pids = children.read_text().split()
+        masks = []
+        for pid in pids:
+            with contextlib.suppress(OSError):
+                status = Path(f"/proc/{pid}/status").read_text()
+                masks.append(int(status.split("SigIgn:")[1].split()[0],
+                                 16))
+        if (len(pids) >= workers and len(masks) == len(pids)
+                and all(mask & 1 << (signal.SIGINT - 1) for mask in masks)):
+            return
+        time.sleep(0.05)
+
+
+#: Pooled CLIs besides ``figures``, each a run long enough to be
+#: interrupted inside its pool.
+POOLED_CLIS = {
+    "exp": ["repro.exp", "--selftest", "--jobs", "2", "--quiet",
+            "--output", "runner.json"],
+    "fuzz": ["repro.fuzz", "--mechanism", "lrp", "--budget", "1000",
+             "--jobs", "2", "--size", "16384", "--ops", "256",
+             "--threads", "8", "--quiet"],
+}
+
+
 def _running(pid):
     """True while ``pid`` exists and is not a zombie."""
     try:
@@ -426,6 +461,25 @@ class TestKilledRun:
         assert snapshot["figures"]["fig5"]["cache_hits"] == cached
         assert (snapshot["figures"]["fig5"]["cache_misses"]
                 == FIG5_CELLS - cached)
+
+    @pytest.mark.parametrize("cli", sorted(POOLED_CLIS))
+    def test_ctrl_c_on_a_pooled_cli_prints_one_line(self, tmp_path, cli):
+        """Ctrl-C while the runner waits on its pool: exit status 130
+        and one line on stderr, as for ``figures``."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", *POOLED_CLIS[cli]],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            cwd=str(tmp_path), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            _wait_for_pool_ignoring_sigint(proc)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            _kill_session(proc)
+        lines = stderr.decode().splitlines()
+        assert proc.returncode == 130, lines
+        assert lines == [f"repro.{cli}: interrupted"]
 
     def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
         proc = _start_fig5(tmp_path / "cache", tmp_path, "--no-cache")

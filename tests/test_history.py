@@ -74,14 +74,14 @@ class TestClassify:
         assert classify(name, value) == kind
 
     @pytest.mark.parametrize("name,value,kind", [
-        # BENCH_kv.json SLO metrics: latency percentiles and RTO gate
-        # with a tolerance (lower is better), throughput as quality
+        # BENCH_kv.json SLO metrics: latency percentiles and means
+        # gate with a tolerance (lower is better), throughput as quality
         # (higher is better) — never as zero-tolerance exact values,
         # and never as wall-clock timings.
         ("kv.lrp.p50", 210, "latency"),
         ("kv.lrp.p99", 5200, "latency"),
         ("kv.lrp.p999", 9100, "latency"),
-        ("kv.bb.rto.mean_cycles", 60000, "latency"),
+        ("kv.bb.latency.mean", 453.58, "latency"),
         ("kv.bb.durable_latency.p99", 7000, "latency"),
         ("kv.lrp.throughput", 0.41, "quality"),
         # A wall-clock name always stays a timing, even when it also
@@ -115,7 +115,7 @@ class TestCompareMetric:
         assert compare_metric("kv.lrp.p99", "latency", 1000, 1600,
                               0.5).status == "regressed"
         # Large improvements register as such.
-        assert compare_metric("kv.bb.rto.mean_cycles", "latency",
+        assert compare_metric("kv.bb.latency.mean", "latency",
                               1000, 400, 0.5).status == "improved"
 
     def test_throughput_higher_is_better(self):

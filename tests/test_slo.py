@@ -25,7 +25,7 @@ from repro.obs.slo import (
     exact_quantile,
     latency_p99_series,
     merged_reservoirs,
-    rto_summary,
+    recovery_summary,
     service_report,
     slo_summary,
     write_slo_csv,
@@ -239,14 +239,13 @@ def test_service_report_with_recovery():
     assert recovery["attempts"] == 4
     # LRP is release-persistent: null recovery always succeeds.
     assert recovery["recovered"] == 4
-    assert recovery["rto"]["mean_cycles"] > 0
-    # The temporary record attachment must not leak.
-    assert not hasattr(result, "_slo_records")
+    assert set(recovery) == {"attempts", "recovered", "recovered_fraction",
+                             "lost_requests"}
 
 
-def test_rto_without_spans_still_meters():
+def test_recovery_summary_without_spans():
     result = simulate(tiny_spec(), "bb", tiny_config())
-    summary = rto_summary(result, num_points=4)
+    summary = recovery_summary(result, num_points=4)
     assert summary["attempts"] == 4
     assert "lost_requests" not in summary
 
