@@ -22,8 +22,8 @@ Three scales are provided: ``quick`` (seconds per experiment, used by
 the pytest benchmarks), ``full`` (minutes, closer to paper ratios) and
 ``paper`` (the paper's element counts outright with hundreds of ops
 per thread — sized for batch sweeps, not for interactive use;
-``python -m repro.obs fastsmoke --workload W --rounds 1`` times one
-paper-scale cell).
+``python -m repro.obs overhead --rounds 1`` times one paper-scale
+hashmap cell).
 """
 
 from __future__ import annotations

@@ -570,7 +570,6 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     import argparse
     import json
     import os
-    import time
 
     from repro.exp.runner import make_runner, set_default_runner
 
@@ -579,10 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--scale", choices=("quick", "full", "paper"),
                         default="quick",
                         help="workload sizing tier; 'paper' runs the "
-                             "paper's element counts outright (time "
-                             "one paper-scale cell before a sweep with "
-                             "'python -m repro.obs fastsmoke "
-                             "--workload W --rounds 1')")
+                             "paper's element counts outright")
     parser.add_argument("--figures", nargs="*", default=None,
                         choices=("fig5", "fig6", "fig7", "fig8", "size",
                                  "ret", "recovery", "kv"),
@@ -608,9 +604,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                              "figure run into DIR, for 'repro.obs "
                              "flame' / 'repro.obs diff' (implies --obs)")
     parser.add_argument("--timings-out", default=None, metavar="FILE",
-                        help="write per-figure wall times (and the "
-                             "deterministic Figure 5 makespans) as a "
-                             "BENCH snapshot for repro.bench.history")
+                        help="write per-figure cache hits and misses "
+                             "and the deterministic Figure 5 (and KV) "
+                             "makespans as JSON")
     args = parser.parse_args(argv)
     wanted = set(args.figures or
                  ["fig5", "fig6", "fig7", "fig8", "size", "ret",
@@ -625,40 +621,23 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     set_default_runner(runner)
 
     traced: List[RunSummary] = []
-    figure_timings: Dict[str, Dict[str, float]] = {}
+    figure_cells: Dict[str, Dict[str, object]] = {}
 
-    def timed(name: str, run):
-        # A figure served from the result cache measures JSON decode
-        # speed, not simulation speed. Record the wall time under a
-        # name that says which one it was — ``cold_seconds`` (every
-        # job simulated), ``warm_seconds`` (every job a cache hit) or
-        # ``mixed_seconds`` — so repro.bench.history only ever
-        # compares like against like.
+    def counted(name: str, run):
+        # Which cells of the figure were simulated and which came from
+        # the result cache. Wall time is perfbench's to measure, cold.
         hits_before = runner.cache_hits
         misses_before = runner.cache_misses
-        start = time.perf_counter()
         result = run()
-        elapsed = round(time.perf_counter() - start, 3)
-        hits = runner.cache_hits - hits_before
-        misses = runner.cache_misses - misses_before
-        if runner.cache is None or (misses and not hits):
-            # --no-cache never touches the counters but every job
-            # simulated: that is a cold run by definition.
-            kind = "cold_seconds"
-        elif hits and not misses:
-            kind = "warm_seconds"
-        else:
-            kind = "mixed_seconds"
-        figure_timings[name] = {
-            kind: elapsed,
-            "cache_hits": hits,
-            "cache_misses": misses,
+        figure_cells[name] = {
+            "cache_hits": runner.cache_hits - hits_before,
+            "cache_misses": runner.cache_misses - misses_before,
         }
         return result
 
     fig5 = None
     if wanted & {"fig5", "fig6"}:
-        fig5 = timed("fig5", lambda: run_figure5(
+        fig5 = counted("fig5", lambda: run_figure5(
             scale=args.scale, collect_obs=obs, collect_trace=trace,
             collect_provenance=provenance))
         if "fig5" in wanted:
@@ -672,18 +651,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         if obs:
             traced.extend(fig5.all_summaries())
     if "fig6" in wanted:
-        # Figure 6 reuses the Figure 5 runs — no simulation of its
-        # own, so a wall time would always read ~0. Say so explicitly
-        # instead of recording a meaningless cold time.
-        start = time.perf_counter()
+        # Figure 6 reuses the Figure 5 runs: no cells of its own.
         fig6 = run_figure6(fig5)
-        figure_timings["fig6"] = {
-            "derived_from": "fig5",
-            "derive_seconds": round(time.perf_counter() - start, 3),
-        }
+        figure_cells["fig6"] = {"derived_from": "fig5"}
         print(fig6.render(), "\n")
     if "fig7" in wanted:
-        fig7 = timed("fig7", lambda: run_figure7(
+        fig7 = counted("fig7", lambda: run_figure7(
             scale=args.scale, collect_obs=obs, collect_trace=trace,
             collect_provenance=provenance))
         print(fig7.render(), "\n")
@@ -691,7 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             print(fig7.render_attribution(), "\n")
             traced.extend(fig7.all_summaries())
     if "fig8" in wanted:
-        fig8 = timed("fig8", lambda: run_figure8(
+        fig8 = counted("fig8", lambda: run_figure8(
             scale=args.scale, collect_obs=obs, collect_trace=trace,
             collect_provenance=provenance))
         print(fig8.render(), "\n")
@@ -704,14 +677,14 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                 "\n")
             traced.extend(fig8.summaries)
     if "size" in wanted:
-        print(timed("size", run_size_sensitivity).render(), "\n")
+        print(counted("size", run_size_sensitivity).render(), "\n")
     if "ret" in wanted:
-        print(timed("ret", run_ret_ablation).render(), "\n")
+        print(counted("ret", run_ret_ablation).render(), "\n")
     if "recovery" in wanted:
-        print(timed("recovery", run_recovery_matrix).render())
+        print(counted("recovery", run_recovery_matrix).render())
     fig_kv = None
     if "kv" in wanted:
-        fig_kv = timed("kv", lambda: run_figure_kv(scale=args.scale))
+        fig_kv = counted("kv", lambda: run_figure_kv(scale=args.scale))
         print(fig_kv.render())
 
     if trace and traced:
@@ -733,11 +706,10 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
             "scale": args.scale,
             "jobs": jobs,
             "cached": not args.no_cache,
-            "figures": figure_timings,
+            "figures": figure_cells,
         }
         if fig5 is not None:
-            # Deterministic anchors: the history gate flags *any*
-            # makespan change, not just wall-clock noise.
+            # Deterministic anchors: tests compare them exactly.
             snapshot["fig5_makespan"] = {
                 workload: {
                     mech: fig5.results[workload][mech].makespan
@@ -746,8 +718,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                 for workload in fig5.workloads
             }
         if fig_kv is not None:
-            # Same idea for the service scenario: percentiles gate as
-            # latency metrics, makespans as exact anchors.
+            # The same for the service scenario, in simulated cycles.
             snapshot["kv_slo"] = {
                 mech: {
                     "makespan": fig_kv.payloads[mech]["makespan"],
@@ -759,7 +730,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         with open(args.timings_out, "w") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"\nwrote figure timings to {args.timings_out}")
+        print(f"\nwrote figure cache counts and makespans to "
+              f"{args.timings_out}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 ``repro.exp`` decouples *what* the evaluation runs (the figure
 definitions in :mod:`repro.bench.figures`) from *how* the simulations
 execute: serially in-process, or fanned out across CPU cores, with or
-without an on-disk result cache. See ``python -m repro.exp --selftest``
-for the serial-vs-parallel equivalence and timing harness.
+without an on-disk result cache. ``tests/test_exp_runner.py`` pins
+that the three give bit-identical results; ``python -m repro.exp
+cache`` reports on and prunes the cache.
 """
 
 from repro.exp.cache import ResultCache, code_version, stable_digest

@@ -196,8 +196,8 @@ def execute_job(job: Job) -> RunSummary:
 
         summary.fuzz = run_fuzz_leg(result, summary.obs, job.fuzz)
         # The coverage map also rides in the obs export proper, so
-        # anything that consumes RunSummary.obs (cache, history,
-        # merged sweeps) sees it without knowing about the fuzzer.
+        # anything that consumes RunSummary.obs (cache, merged sweeps)
+        # sees it without knowing about the fuzzer.
         summary.obs["coverage"] = summary.fuzz["coverage"]
     if job.collect_spans and observer is not None and observer.spans:
         from repro.obs import slo
@@ -385,15 +385,20 @@ def set_default_runner(runner: Optional[ExperimentRunner]) -> None:
 
 def run_cli(main: Callable[[], Optional[int]], prog: str,
             hint: str = "") -> None:
-    """Run a CLI's ``main`` and exit with its status; on Ctrl-C print
-    one line to stderr and exit with status 130 (128 + SIGINT)
-    instead of a traceback. ``hint`` is appended to that line."""
+    """Run a CLI's ``main`` and exit with its status, never with a
+    traceback. Ctrl-C prints one line to stderr and exits with status
+    130 (128 + SIGINT); ``hint`` is appended to that line. A
+    ValueError or OSError (bad option value, missing or malformed
+    input file) prints ``prog: error: ...`` and exits with status 1."""
     try:
         status = main()
     except KeyboardInterrupt:
         print(f"{prog}: interrupted{'; ' + hint if hint else ''}",
               file=sys.stderr)
         status = 130
+    except (ValueError, OSError) as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        status = 1
     sys.exit(status)
 
 

@@ -1,6 +1,6 @@
 """``python -m repro.fuzz`` — persistency-fuzzing campaigns.
 
-Three modes:
+Two modes:
 
 * **campaign** (default): one coverage-guided campaign against a
   workload x mechanism. Exit code enforces the Figure-1 contract —
@@ -10,22 +10,20 @@ Three modes:
   counterexample was found (otherwise the fuzzer lost its teeth).
 * ``--replay FILE``: re-derive a saved counterexample's verdict; exit
   0 iff the recorded violation reproduces.
-* ``--selftest``: the end-to-end contract demonstration — an ARP and a
-  NOP campaign on the hashmap must find and shrink counterexamples
-  (strictly smaller than the raw findings, replayable from their repro
-  files, bit-identical across a re-run), while SB/BB/LRP campaigns
-  must come back clean. Writes campaign throughput (execs/sec,
-  coverage features) to ``--bench-out`` (default BENCH_fuzz.json).
+
+Bad input (a missing or malformed repro file, a budget or job count
+below 1, an unknown mechanism) ends in one ``repro.fuzz: error:``
+line and exit status 1. ``tests/test_fuzz.py`` pins the contract on
+every mechanism, the shrinking, the replay of campaign-written repro
+files, and the campaign's seed determinism.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exp.runner import run_cli
 from repro.fuzz.engine import CampaignConfig, CampaignResult, run_campaign
@@ -68,98 +66,12 @@ def _replay_main(path: str) -> int:
     return 0 if outcome["ok"] else 1
 
 
-def _fingerprint(result: CampaignResult) -> dict:
-    """The deterministic essence of a campaign (for the identity pin)."""
-    return {
-        "coverage": result.coverage.to_list(),
-        "corpus": result.corpus.digests(),
-        "counterexamples": [
-            (list(ce["mutation"].nudges), ce["prefix"],
-             ce["problems"][:1])
-            for ce in result.counterexamples
-        ],
-    }
-
-
-def run_selftest(jobs: int, bench_out: str, out_dir: Optional[str],
-                 verbose: bool) -> dict:
-    """The end-to-end contract + determinism demonstration."""
-    campaigns: List[dict] = []
-    checks: List[tuple] = []
-
-    def base(mechanism: str, budget: int, seed: int = 1) -> CampaignConfig:
-        return CampaignConfig(
-            workload="hashmap", mechanism=mechanism, seed=seed,
-            budget=budget, jobs=jobs, verbose=verbose)
-
-    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-        repro_dir = out_dir or os.path.join(tmp, "repros")
-
-        # Weak mechanisms: must find and shrink counterexamples.
-        weak_results = {}
-        for mechanism, budget in (("arp", 24), ("nop", 12)):
-            config = CampaignConfig(
-                **{**base(mechanism, budget).__dict__,
-                   "out_dir": repro_dir,
-                   "corpus_dir": os.path.join(tmp, f"corpus-{mechanism}")})
-            result = run_campaign(config)
-            weak_results[mechanism] = result
-            campaigns.append(result.report())
-            checks.append((f"{mechanism}_found_counterexample",
-                           bool(result.counterexamples)))
-            shrunk = [ce for ce in result.counterexamples
-                      if ce.get("shrunk")]
-            checks.append((f"{mechanism}_shrunk_strictly_smaller",
-                           any(ce["strictly_smaller"] for ce in shrunk)))
-            checks.append((f"{mechanism}_cut_checker_confirms",
-                           any(ce["verdict"].get("cut_violations", 0) > 0
-                               for ce in shrunk)))
-
-        # Replay: every written ARP repro must reproduce its verdict.
-        arp = weak_results["arp"]
-        replays = [replay_repro(ce["repro_path"])
-                   for ce in arp.counterexamples
-                   if "repro_path" in ce]
-        checks.append(("repro_files_replay",
-                       bool(replays) and all(r["ok"] for r in replays)))
-
-        # Determinism: the identical ARP campaign, re-run (and through
-        # a different corpus dir), must be bit-identical.
-        rerun = run_campaign(CampaignConfig(
-            **{**base("arp", 24).__dict__,
-               "corpus_dir": os.path.join(tmp, "corpus-arp-rerun")}))
-        checks.append(("deterministic_rerun",
-                       _fingerprint(arp) == _fingerprint(rerun)))
-
-        # Enforcing mechanisms: must come back clean.
-        for mechanism in ("sb", "bb", "lrp"):
-            result = run_campaign(base(mechanism, 8))
-            campaigns.append(result.report())
-            checks.append((f"{mechanism}_clean", result.clean))
-
-    ok = all(passed for _name, passed in checks)
-    report = {
-        "campaigns": campaigns,
-        "checks": {name: passed for name, passed in checks},
-        "total_executions": sum(c["executions"] for c in campaigns),
-        "total_seconds": round(sum(c["seconds"] for c in campaigns), 3),
-        "ok": ok,
-    }
-    if bench_out:
-        with open(bench_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fuzz",
         description="Coverage-guided persistency fuzzing: schedule + "
                     "crash-point exploration with counterexample "
                     "shrinking.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run the end-to-end contract demonstration")
     parser.add_argument("--replay", metavar="FILE", default=None,
                         help="replay a saved counterexample file")
     parser.add_argument("--workload", default="hashmap",
@@ -191,23 +103,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="persist the corpus + coverage map here")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="write counterexample repro files here")
-    parser.add_argument("--bench-out", metavar="FILE",
-                        default="BENCH_fuzz.json",
-                        help="selftest throughput JSON "
-                             "(default: %(default)s)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the progress meter")
     args = parser.parse_args(argv)
 
     if args.replay:
         return _replay_main(args.replay)
-    if args.selftest:
-        report = run_selftest(args.jobs, args.bench_out, args.out,
-                              verbose=not args.quiet)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        print(f"\nselftest {'PASSED' if report['ok'] else 'FAILED'}: "
-              f"wrote {args.bench_out}")
-        return 0 if report["ok"] else 1
     return _campaign_main(args)
 
 

@@ -40,6 +40,7 @@ from repro.fuzz.leg import FuzzLegSpec
 from repro.fuzz.mutation import ScheduleMutation, mutate
 from repro.fuzz.reprofile import ReproFile, config_to_dict
 from repro.fuzz.shrink import ShrunkCounterexample, shrink_counterexample
+from repro.lfds import structure_by_name
 from repro.obs.coverage import CoverageMap
 from repro.persistency import mechanism_by_name
 from repro.workloads.harness import WorkloadSpec
@@ -158,6 +159,9 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run one coverage-guided campaign to completion."""
     if config.budget < 1:
         raise ValueError("budget must be >= 1")
+    # An unknown name raises here, before any progress meter starts.
+    mechanism_by_name(config.mechanism)
+    structure_by_name(config.workload)
     start = time.perf_counter()
     progress = ProgressReporter() if config.verbose else NullProgress()
     runner = ExperimentRunner(jobs=config.jobs, progress=progress)

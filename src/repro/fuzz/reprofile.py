@@ -96,13 +96,17 @@ class ReproFile:
             raise ValueError(
                 f"{path}: not a fuzz repro file "
                 f"(format={data.get('format')!r})")
-        return cls(workload=data["workload"],
-                   mechanism=data["mechanism"],
-                   config=data["config"],
-                   mutation=[list(n) for n in data["mutation"]],
-                   prefix=int(data["prefix"]),
-                   verdict=data["verdict"],
-                   campaign=data.get("campaign", {}))
+        try:
+            return cls(workload=data["workload"],
+                       mechanism=data["mechanism"],
+                       config=data["config"],
+                       mutation=[list(n) for n in data["mutation"]],
+                       prefix=int(data["prefix"]),
+                       verdict=data["verdict"],
+                       campaign=data.get("campaign", {}))
+        except KeyError as exc:
+            raise ValueError(f"{path}: repro file has no {exc} field") \
+                from None
 
     # -- replay --------------------------------------------------------
 
@@ -206,14 +210,18 @@ class LitmusReproFile:
             raise ValueError(
                 f"{path}: not a litmus repro file "
                 f"(format={data.get('format')!r})")
-        return cls(program=data["program"],
-                   mechanism=data["mechanism"],
-                   schedule=[int(t) for t in data["schedule"]],
-                   persist_sequence=[int(e) for e in
-                                     data["persist_sequence"]],
-                   verdict=data["verdict"],
-                   hb_mode=data.get("hb_mode", "rp"),
-                   source=data.get("source", {}))
+        try:
+            return cls(program=data["program"],
+                       mechanism=data["mechanism"],
+                       schedule=[int(t) for t in data["schedule"]],
+                       persist_sequence=[int(e) for e in
+                                         data["persist_sequence"]],
+                       verdict=data["verdict"],
+                       hb_mode=data.get("hb_mode", "rp"),
+                       source=data.get("source", {}))
+        except KeyError as exc:
+            raise ValueError(f"{path}: repro file has no {exc} field") \
+                from None
 
     # -- replay --------------------------------------------------------
 
@@ -261,6 +269,9 @@ def replay_repro(path: str) -> Dict[str, object]:
     """
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a repro file (a JSON "
+                         f"{type(data).__name__}, not an object)")
     if data.get("format") == LITMUS_FORMAT:
         litmus = LitmusReproFile.load(path)
         replayed = litmus.replay()

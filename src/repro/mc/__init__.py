@@ -7,8 +7,8 @@ reduction with sleep sets, and :mod:`repro.mc.judge` decides, per
 persistency mechanism, whether *any* reachable crash state of *any*
 execution breaks Release Persistency's consistent-cut guarantee.
 
-``python -m repro.mc --selftest`` pins the whole construction against
-brute-force enumeration and the independent Px86-derived axioms of
+``tests/test_mc.py`` pins the whole construction against brute-force
+enumeration and the independent Px86-derived axioms of
 :mod:`repro.mc.px86`.
 """
 

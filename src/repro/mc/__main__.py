@@ -1,6 +1,6 @@
 """``python -m repro.mc`` — exhaustive small-scope model checking.
 
-Three modes:
+Two modes:
 
 * **check** (default): model-check one litmus program (or ``all``)
   under the paper's mechanisms. Exit code enforces the Figure-1
@@ -8,31 +8,25 @@ Three modes:
   Mazurkiewicz trace, ARP/NOP must yield a confirmed violating crash
   state (written as a replayable repro file with ``--out``).
 * ``--list``: show the canned litmus programs.
-* ``--selftest``: the full construction, pinned — DPOR explores every
-  trace class exactly once (class sets identical to brute-force
-  enumeration, strictly fewer schedules than ``count_interleavings``),
-  verdicts bit-identical to brute force for every suite program and
-  mechanism, the Px86-derived axioms agree with ``rp_model`` on every
-  explored trace, and the ARP/NOP witnesses round-trip through the
-  fuzzer's repro-file replay. Writes the schedule-reduction snapshot
-  to ``--bench-out`` (default BENCH_mc.json).
+
+``tests/test_mc.py`` pins the construction: DPOR explores every trace
+class of every suite program exactly once (class sets identical to
+brute-force enumeration, strictly fewer schedules than
+``count_interleavings``), verdicts match brute force, the Px86-derived
+axioms agree with ``rp_model`` on every explored trace, the DPOR-only
+``chain4`` keeps its contract, and every ARP/NOP witness round-trips
+through the fuzzer's repro-file replay.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import tempfile
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.consistency.litmus import all_interleavings, \
-    count_interleavings, run_interleaving
 from repro.mc.checker import DEFAULT_MECHANISMS, ProgramCheck, \
     check_program
-from repro.mc.dpor import explore_program, trace_key
-from repro.mc.programs import PROGRAMS, SUITE, get_program
+from repro.mc.programs import PROGRAMS
 
 
 def _print_check(check: ProgramCheck, verbose: bool = True) -> None:
@@ -69,120 +63,6 @@ def _check_main(args) -> int:
     return 0 if ok else 1
 
 
-def _program_bench(check: ProgramCheck) -> Dict[str, object]:
-    program = get_program(check.program)
-    stats = check.stats
-    return {
-        "num_threads": program.num_threads,
-        "num_ops": program.num_ops,
-        "interleavings": stats.interleavings,
-        "schedules_explored": stats.schedules_explored,
-        "states_visited": stats.states_visited,
-        "sleep_blocked": stats.sleep_blocked,
-        "backtrack_points": stats.backtrack_points,
-        "reduction": round(stats.reduction, 2),
-    }
-
-
-def run_selftest(bench_out: str, out_dir: Optional[str],
-                 verbose: bool) -> dict:
-    """Pin the whole construction against brute force and Px86."""
-    started = time.perf_counter()
-    checks: List[tuple] = []
-    programs_bench: Dict[str, Dict[str, object]] = {}
-    witness_paths: List[str] = []
-
-    with tempfile.TemporaryDirectory(prefix="repro-mc-") as tmp:
-        repro_dir = out_dir or tmp
-
-        for name in SUITE:
-            program = get_program(name)
-            threads = program.program()
-            init = program.initial_memory()
-
-            # The enumerator agrees with the closed-form count before
-            # any reduction is measured against it.
-            brute_schedules = list(all_interleavings(threads))
-            checks.append((
-                f"{name}_count_matches_enumerator",
-                len(brute_schedules) == count_interleavings(threads)))
-
-            dpor = check_program(program, method="dpor",
-                                 out_dir=repro_dir)
-            brute = check_program(program, method="brute")
-            programs_bench[name] = _program_bench(dpor)
-
-            # DPOR covers every Mazurkiewicz class exactly once.
-            def key_of(schedule):
-                return trace_key(run_interleaving(threads, schedule,
-                                                  init=dict(init)))
-            dpor_schedules, _stats = explore_program(threads)
-            dpor_keys = [key_of(s) for s in dpor_schedules]
-            brute_keys = {key_of(s) for s in brute_schedules}
-            checks.append((f"{name}_classes_identical",
-                           set(dpor_keys) == brute_keys))
-            checks.append((f"{name}_each_class_exactly_once",
-                           len(dpor_keys) == len(set(dpor_keys))))
-            checks.append((
-                f"{name}_strictly_fewer_schedules",
-                dpor.stats.schedules_explored
-                < dpor.stats.interleavings))
-
-            # Verdicts bit-identical to brute force; contract holds.
-            checks.append((f"{name}_verdicts_match_brute_force",
-                           dpor.clean_map() == brute.clean_map()))
-            checks.append((f"{name}_contract", dpor.contract_ok))
-            checks.append((
-                f"{name}_px86_agrees_on_every_trace",
-                dpor.px86_agreements == dpor.px86_traces
-                and brute.px86_agreements == brute.px86_traces))
-            checks.append((
-                f"{name}_prefix_cuts_clean",
-                dpor.prefix_cuts_clean == dpor.prefix_traces))
-
-            for verdict in dpor.verdicts.values():
-                if verdict.repro_path:
-                    witness_paths.append(verdict.repro_path)
-
-        # Witnesses must replay through the fuzzer's repro machinery.
-        from repro.fuzz.reprofile import replay_repro
-        replays = [replay_repro(path) for path in witness_paths]
-        checks.append(("witnesses_replay_through_fuzz",
-                       bool(replays) and all(r["ok"] for r in replays)))
-
-        # The DPOR-only program: past brute-force scope, contract and
-        # reduction still hold.
-        chain = check_program("chain4", out_dir=repro_dir)
-        programs_bench["chain4"] = _program_bench(chain)
-        checks.append(("chain4_contract", chain.contract_ok))
-        checks.append((
-            "chain4_strictly_fewer_schedules",
-            chain.stats.schedules_explored < chain.stats.interleavings))
-
-    total_interleavings = sum(b["interleavings"]
-                              for b in programs_bench.values())
-    total_explored = sum(b["schedules_explored"]
-                         for b in programs_bench.values())
-    ok = all(passed for _name, passed in checks)
-    report = {
-        "programs": programs_bench,
-        "totals": {
-            "interleavings": total_interleavings,
-            "schedules_explored": total_explored,
-            "reduction": round(total_interleavings
-                               / max(1, total_explored), 2),
-            "seconds": round(time.perf_counter() - started, 3),
-        },
-        "checks": {name: passed for name, passed in checks},
-        "ok": ok,
-    }
-    if bench_out:
-        with open(bench_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
-
-
 def _list_main() -> int:
     for name, program in PROGRAMS.items():
         scope = "suite" if program.brute_force_ok else "dpor-only"
@@ -198,8 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.mc",
         description="Exhaustive small-scope model checking of litmus "
                     "programs via dynamic partial-order reduction.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="pin DPOR against brute force + Px86")
     parser.add_argument("--list", action="store_true",
                         help="list the canned litmus programs")
     parser.add_argument("--program", default="all",
@@ -216,28 +94,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "states (default: %(default)s)")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="write violation repro files here")
-    parser.add_argument("--bench-out", metavar="FILE",
-                        default="BENCH_mc.json",
-                        help="selftest reduction snapshot "
-                             "(default: %(default)s)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-violation detail")
     args = parser.parse_args(argv)
 
     if args.list:
         return _list_main()
-    if args.selftest:
-        report = run_selftest(args.bench_out, args.out,
-                              verbose=not args.quiet)
-        if args.quiet:
-            for name, passed in sorted(report["checks"].items()):
-                if not passed:
-                    print(f"FAILED: {name}")
-        else:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        print(f"\nselftest {'PASSED' if report['ok'] else 'FAILED'}: "
-              f"wrote {args.bench_out}")
-        return 0 if report["ok"] else 1
     try:
         return _check_main(args)
     except ValueError as exc:

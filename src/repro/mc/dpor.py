@@ -20,8 +20,9 @@ Classic Flanagan–Godefroid DPOR with sleep sets:
   state is done, the thread goes to sleep there; a sleeping thread is
   woken (removed on inheritance) only by the execution of a dependent
   step. The litmus state space is acyclic, so together these visit
-  every Mazurkiewicz trace *exactly once* — pinned by the selftest's
-  class-set comparison against brute-force enumeration.
+  every Mazurkiewicz trace *exactly once* — pinned by
+  ``tests/test_mc.py``'s class-set comparison against brute-force
+  enumeration.
 
 The dependency relation the explorer bets on is purely *static* (word
 addresses and write-capability are schedule-independent in a litmus
@@ -101,13 +102,10 @@ def trace_key(trace: Trace) -> Tuple:
 
 @dataclasses.dataclass
 class DPORStats:
-    """Exploration counters (the BENCH_mc.json payload)."""
+    """Exploration counters of one DPOR or brute-force run."""
 
     interleavings: int = 0        # total distinct schedules (multinomial)
     schedules_explored: int = 0   # completed representative executions
-    states_visited: int = 0       # recursion nodes entered
-    sleep_blocked: int = 0        # branches pruned by the sleep set
-    backtrack_points: int = 0     # race-driven backtrack additions
 
     @property
     def reduction(self) -> float:
@@ -174,21 +172,18 @@ class DPORExplorer:
     # ------------------------------------------------------------------
 
     def _explore(self, sleep: FrozenSet[int]) -> None:
-        stats = self.stats
-        stats.states_visited += 1
         cursors = self._cursors
         program = self._program
         enabled = [t for t in range(len(program))
                    if cursors[t] < len(program[t])]
         if not enabled:
-            stats.schedules_explored += 1
+            self.stats.schedules_explored += 1
             self._results.append(list(self._schedule))
             return
         available = [t for t in enabled if t not in sleep]
         if not available:
             # Every continuation from here is equivalent to one already
             # explored from an ancestor — prune the whole branch.
-            stats.sleep_blocked += 1
             return
         frame = _Frame(backtrack={available[0]}, sleep=set(sleep))
         self._frames.append(frame)
@@ -242,7 +237,6 @@ class DPORExplorer:
             initials = self._race_initials(prior, depth, thread, acc)
             if frame.backtrack.isdisjoint(initials):
                 frame.backtrack.add(min(initials))
-                self.stats.backtrack_points += 1
 
         closure.append(acc)
         self._schedule.append(thread)

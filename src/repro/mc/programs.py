@@ -150,9 +150,9 @@ PROGRAMS: Dict[str, LitmusProgram] = {
                  _chain4())
 }
 
-#: The brute-forceable suite: every selftest equivalence pin
-#: (DPOR classes == enumerated classes, verdicts bit-identical)
-#: runs over exactly these.
+#: The brute-forceable suite: every equivalence pin of
+#: ``tests/test_mc.py`` (DPOR classes == enumerated classes, verdicts
+#: bit-identical) runs over exactly these.
 SUITE: Tuple[str, ...] = tuple(
     name for name, prog in PROGRAMS.items() if prog.brute_force_ok)
 

@@ -23,7 +23,7 @@ This is deliberately a *different formulation* from
 ``HappensBefore(mode="rp")`` — axioms grown to a fixpoint over
 explicit pairs, not a barrier/edge construction — yet Release
 Persistency's obligations must coincide with it on every explored
-trace. The selftest pins that agreement trace by trace.
+trace. ``tests/test_mc.py`` pins that agreement trace by trace.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ The subsystem has three layers:
   compute / coherence / persist-stall segments.
 
 ``python -m repro.obs`` exposes ``trace`` / ``report`` / ``timeline``
-/ ``audit`` / ``flame`` / ``diff`` / ``provenance`` subcommands and
-``--selftest``; the ``repro.exp`` and ``repro.bench.figures`` CLIs
-collect the same data behind ``--obs`` / ``--trace-out`` /
+/ ``audit`` / ``flame`` / ``diff`` / ``provenance`` / ``slo`` /
+``overhead`` subcommands; the ``repro.bench.figures`` CLI collects
+the same data behind ``--obs`` / ``--trace-out`` /
 ``--provenance-out``.
 """
 

@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — tracing, attribution, and self-test.
+"""``python -m repro.obs`` — tracing, attribution and service reports.
 
 Subcommands:
 
@@ -23,27 +23,22 @@ Subcommands:
 * ``diff`` — align two same-workload/seed captures across mechanisms
   and report first divergence, per-site deltas, and persists
   avoided-vs-moved;
-* ``fastsmoke`` — gate the batched engine's telemetry: one paper-scale
-  cell plain vs observed (ABBA rounds, median ratio), makespan
-  identity, overhead bounded by ``--overhead-limit``; writes
-  ``BENCH_obsfast.json``;
 * ``slo`` — run the KV-service workload with request-span tracking and
   print the service report: throughput, exact p50/p99/p999 request and
   durable latency, windowed sparklines, optional crash columns
   (``--crash-points``), per-request CSV (``--csv``), request spans as
   a Chrome trace (``--trace-out``) and the JSON payload
   (``--json-out``);
-* ``kvsmoke`` — gate the span-tracking overhead on the KV service:
-  ABBA rounds plain vs spans-on (makespans must be identical),
-  streaming-vs-exact percentile reconciliation, SLO payloads for
-  lrp/bb/sb; writes ``BENCH_kv.json``;
-* ``--selftest`` — end-to-end check on a tiny workload: obs hooks
-  disabled vs. enabled yield bit-identical runs, the trace export
-  round-trips through ``json`` with monotone per-track timestamps, the
-  attribution reconciles exactly with ``RunStats``, the timeline's
-  window sums reconcile with the aggregate counters, and the
-  provenance flamegraph's stall cycles reconcile exactly with
-  ``persist_stall_cycles``.
+* ``overhead`` — gate the telemetry's cost: a paper-scale hashmap/lrp
+  cell with metrics and a timeline, and the KV service with request
+  spans, each timed plain against observed in ABBA rounds. Exits 1
+  when either median overhead exceeds 15% or a makespan moves; writes
+  no file.
+
+What these tools must never do (perturb a run, or report numbers that
+do not reconcile with ``RunStats``) is pinned by the tier-1 tests:
+``tests/test_obs.py``, ``test_timeline.py``, ``test_provenance.py``,
+``test_kvservice.py`` and ``test_slo.py``.
 
 CLI failures (unknown mechanism, unwritable output path, export
 without the requested data) exit 1 with a one-line diagnostic; missing
@@ -55,9 +50,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
-import tempfile
-from typing import List, Optional, Sequence, Tuple
+import time
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.params import MachineConfig, NVMMode
 from repro.core.simulator import SimulationResult, simulate
@@ -78,17 +74,18 @@ from repro.obs.timeline import render_timeline, sparkline, \
 from repro.workloads.harness import WorkloadSpec
 from repro.workloads.kvservice import KVServiceSpec
 
-SELFTEST_MECHANISMS = ("nop", "sb", "bb", "lrp")
+#: Mechanisms the attribution report compares by default.
+REPORT_MECHANISMS = ("nop", "sb", "bb", "lrp")
 
 #: The service-comparison row of the KV story: lazy release persistency
 #: against the eager blocking baselines.
 KV_MECHANISMS = ("lrp", "bb", "sb")
 
-#: Every mechanism the self-test's KV span checks run.
-FULL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
-
 #: Window width (cycles) used when the user does not pass --interval.
 DEFAULT_TIMELINE_INTERVAL = 1000
+
+#: Highest median telemetry overhead, in percent, ``overhead`` accepts.
+OVERHEAD_LIMIT_PCT = 15.0
 
 
 def _ensure_parent(path: str) -> None:
@@ -331,284 +328,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Self-test
-# ----------------------------------------------------------------------
-
-def _check_monotone(events: List[dict]) -> None:
-    """Per track, data-event timestamps must be non-decreasing."""
-    last: dict = {}
-    for event in events:
-        if event.get("ph") == "M":
-            continue
-        track = (event["pid"], event["tid"])
-        ts = event["ts"]
-        if event.get("dur", 0) < 0:
-            raise AssertionError(f"negative dur in {event}")
-        if track in last and ts < last[track]:
-            raise AssertionError(
-                f"ts regression on track {track}: {last[track]} -> {ts}")
-        last[track] = ts
-
-
-def run_selftest(verbose: bool = True) -> bool:
-    """Tiny-workload end-to-end check of the whole obs stack."""
-    from repro.exp.runner import execute_job, Job
-
-    spec = WorkloadSpec(structure="hashmap", num_threads=4,
-                        initial_size=64, ops_per_thread=12, seed=1)
-    config = MachineConfig(num_cores=4)
-    interval = 500
-    ok = True
-    captures: dict = {}
-    for mechanism in SELFTEST_MECHANISMS:
-        plain = simulate(spec, mechanism, config)
-        observed, observer = _observed_run(spec, mechanism, config,
-                                           trace=True,
-                                           timeline_interval=interval,
-                                           provenance=True)
-
-        identical = (plain.makespan == observed.makespan
-                     and plain.stats.summary() == observed.stats.summary())
-
-        with tempfile.NamedTemporaryFile("w+", suffix=".json") as tmp:
-            # export() merges the timeline counter tracks into the span
-            # events, so the monotonicity check covers both.
-            write_chrome_trace(observer.export()["trace_events"], tmp)
-            tmp.flush()
-            tmp.seek(0)
-            document = json.load(tmp)
-        events = document["traceEvents"]
-        _check_monotone(events)
-
-        attribution = attribute_run(observed.stats,
-                                    observer.metrics.counters)
-        reconciles = (attribution.persist_stall_total
-                      == observed.stats.persist_stall_cycles)
-        critical = attribution.critical_core
-        adds_up = (critical.compute + critical.coherence
-                   + critical.persist_stall == critical.total
-                   and critical.total == observed.makespan
-                   and all(c.coherence >= 0 for c in attribution.cores))
-
-        # The timeline's window sums must reconcile exactly with the
-        # aggregate counters/stats over the same run.
-        timeline = observer.timeline
-        counters = observer.metrics.counters
-        tl_compute = all(
-            sum(timeline.dense(f"compute.c{core}"))
-            == counters.get(f"sched.compute_cycles.c{core}", 0)
-            for core in range(config.num_cores))
-        tl_stall = (sum(sum(timeline.dense(name))
-                        for name in timeline.names()
-                        if name.startswith("stall.c"))
-                    == observed.stats.persist_stall_cycles)
-        tl_nvm = (sum(sum(timeline.dense(name))
-                      for name in timeline.names()
-                      if name.startswith("nvm.lines.ch"))
-                  == counters.get("persist.lines", 0))
-        tl_reconciles = tl_compute and tl_stall and tl_nvm
-
-        # Provenance pin: the stall flamegraph folds must sum exactly
-        # to persist_stall_cycles (same single charge point), and the
-        # persist-count folds must cover every recorded persist.
-        prov = observer.export()["provenance"]
-        stall_folds = flame.collapse_stacks(prov, "stalls")
-        persist_folds = flame.collapse_stacks(prov, "persists")
-        prov_reconciles = (
-            flame.total(stall_folds)
-            == observed.stats.persist_stall_cycles
-            and flame.total(persist_folds) == len(prov["persists"]))
-
-        # The obs path must also compose with the runner/cache layer.
-        summary = execute_job(Job(spec=spec, mechanism=mechanism,
-                                  config=config, collect_obs=True,
-                                  timeline_interval=interval,
-                                  collect_provenance=True))
-        carried = (summary.obs is not None
-                   and summary.obs["metrics"]["counters"]
-                   == observer.metrics.counters
-                   and summary.obs.get("timeline")
-                   == timeline.to_dict()
-                   and summary.obs.get("provenance") == prov)
-        captures[mechanism] = diff_mod.make_capture(summary)
-
-        passed = (identical and reconciles and adds_up
-                  and tl_reconciles and prov_reconciles and carried)
-        ok = ok and passed
-        if verbose:
-            print(f"[obs-selftest] {mechanism:4s}  "
-                  f"identical={identical}  trace_events={len(events)}  "
-                  f"stall_reconciled={reconciles}  "
-                  f"segments_add_up={adds_up}  "
-                  f"timeline_reconciled={tl_reconciles}  "
-                  f"provenance_reconciled={prov_reconciles}  "
-                  f"summary_carries={carried}")
-
-    # Diff pin: LRP-vs-BB on the same workload/seed must align and
-    # report avoided persists (BB's proactive flushes that LRP's lazy
-    # triggers never issue).
-    gap = diff_mod.diff_captures(captures["bb"], captures["lrp"])
-    diff_ok = (gap["persists"]["avoided"] > 0
-               and gap["first_divergence"] is not None)
-    ok = ok and diff_ok
-    if verbose:
-        divergence = gap["first_divergence"]
-        at = divergence["index"] if divergence else "never"
-        print(f"[obs-selftest] diff  lrp-vs-bb  "
-              f"avoided={gap['persists']['avoided']}  "
-              f"moved={gap['persists']['moved']}  diverges_at={at}")
-
-    # KV-service span pins, across the full mechanism matrix:
-    # (a) the streaming reservoir's p50/p99/p999 equal the exact
-    #     nearest-rank quantiles of the stored per-request records
-    #     (both request latency and durable latency);
-    # (b) makespans are bit-identical with span tracking on vs off.
-    kv_spec = KVServiceSpec(structure="hashmap", num_threads=4,
-                            initial_size=64, requests_per_thread=12,
-                            seed=1)
-    kv_ok = True
-    for mechanism in FULL_MECHANISMS:
-        plain = simulate(kv_spec, mechanism, config)
-        observer = Observer(spans=True)
-        observed = simulate(kv_spec, mechanism, config,
-                            observer=observer)
-        identical = plain.makespan == observed.makespan
-        counted = (observer.spans.request_count()
-                   == kv_spec.total_requests)
-        records = slo.build_records(
-            kv_spec, observed.config, observer.spans,
-            persist_log=observed.nvm.persist_log())
-        exact = True
-        for values in ([r.latency for r in records],
-                       [r.durable_latency for r in records]):
-            reservoir = slo.LatencyReservoir()
-            for value in values:
-                reservoir.observe(value)
-            exact = exact and all(
-                reservoir.quantile(q) == slo.exact_quantile(values, q)
-                for _name, q in slo.SLO_QUANTILES)
-        cell_ok = identical and counted and exact
-        kv_ok = kv_ok and cell_ok
-        if verbose:
-            print(f"[obs-selftest] kv    {mechanism:4s}  "
-                  f"identical={identical}  "
-                  f"requests={observer.spans.request_count()}  "
-                  f"quantiles_exact={exact}")
-    ok = ok and kv_ok
-
-    if verbose:
-        print(f"[obs-selftest] {'PASSED' if ok else 'FAILED'}")
-    return ok
-
-
-# ----------------------------------------------------------------------
-# Fast-telemetry smoke benchmark
-# ----------------------------------------------------------------------
-
-def cmd_fastsmoke(args: argparse.Namespace) -> int:
-    """Gate the batched engine's telemetry overhead and correctness.
-
-    One paper-scale figure cell (hashmap/lrp by default) runs through
-    the batched engine plain and with a metrics+timeline Observer
-    attached, in ABBA rounds whose per-round ratios are summarized by
-    their median (see the inline comment on why min-of-N is the wrong
-    estimator on a shared box). Alongside the wall numbers the run
-    checks the invariant the overhead figure is meaningless without:
-    every makespan identical (telemetry must not perturb simulation).
-    """
-    import time
-
-    from repro.bench.configs import SCALED_CONFIG, bench_config, \
-        figure_spec
-
-    spec = figure_spec(args.workload, num_threads=args.threads,
-                       scale=args.scale, seed=args.seed)
-    config = bench_config(SCALED_CONFIG)
-    interval = args.interval
-
-    print(f"[obsfast] {spec.structure}/{args.mechanism} "
-          f"--scale {args.scale}: {spec.num_threads} threads x "
-          f"{spec.ops_per_thread} ops, median of {args.rounds} "
-          f"ABBA rounds")
-    # Cold cells (setup + simulation). Ambient load on a shared box
-    # drifts on a minutes timescale — far more than the overhead being
-    # measured — so comparing a min-of-N plain against a min-of-N
-    # observed (whose minima may come from different load eras) is
-    # hopeless. Instead each round times plain/observed/observed/plain
-    # back to back (ABBA: linear drift within the round cancels) and
-    # yields one overhead ratio; the median over rounds is robust to
-    # the odd round that a background task stomped on.
-    from repro.core.simulator import clear_setup_cache
-
-    ratios: List[float] = []
-    best_plain = best_obs = float("inf")
-    makespans = set()
-
-    def timed_cell(observe: bool) -> float:
-        clear_setup_cache()
-        t0 = time.perf_counter()
-        result = simulate(spec, args.mechanism, config,
-                          observer=Observer(timeline_interval=interval)
-                          if observe else None)
-        dt = time.perf_counter() - t0
-        makespans.add(result.makespan)
-        return dt
-
-    try:
-        for _ in range(args.rounds):
-            a1 = timed_cell(False)
-            b1 = timed_cell(True)
-            b2 = timed_cell(True)
-            a2 = timed_cell(False)
-            ratios.append((b1 + b2) / (a1 + a2))
-            best_plain = min(best_plain, a1, a2)
-            best_obs = min(best_obs, b1, b2)
-    finally:
-        clear_setup_cache()
-
-    ratios.sort()
-    mid = len(ratios) // 2
-    median_ratio = (ratios[mid] if len(ratios) % 2
-                    else (ratios[mid - 1] + ratios[mid]) / 2)
-    overhead_pct = 100.0 * (median_ratio - 1.0)
-    makespan_identical = len(makespans) == 1
-
-    snapshot = {
-        "suite.cell": f"{spec.structure}/{args.mechanism}",
-        "suite.scale": args.scale,
-        "suite.rounds": args.rounds,
-        "suite.timeline_interval": interval,
-        "makespan": makespans.pop() if makespan_identical else -1,
-        "seconds_plain": round(best_plain, 4),
-        "seconds_obs": round(best_obs, 4),
-        "telemetry_overhead_pct": round(overhead_pct, 2),
-        "makespan_identical": makespan_identical,
-    }
-    _ensure_parent(args.bench_out)
-    with open(args.bench_out, "w") as handle:
-        json.dump(snapshot, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-    print(f"[obsfast] plain {best_plain:.3f}s  observed {best_obs:.3f}s"
-          f"  overhead +{overhead_pct:.1f}% "
-          f"(limit {args.overhead_limit:.0f}%)")
-    print(f"[obsfast] makespan_identical={makespan_identical}")
-    print(f"[obsfast] wrote {args.bench_out}")
-    failures = []
-    if not makespan_identical:
-        failures.append("telemetry perturbed the makespan")
-    if overhead_pct > args.overhead_limit:
-        failures.append(f"telemetry overhead {overhead_pct:.1f}% exceeds "
-                        f"{args.overhead_limit:.0f}%")
-    for failure in failures:
-        print(f"[obsfast] FAILED: {failure}", file=sys.stderr)
-    if not failures:
-        print("[obsfast] PASSED")
-    return 1 if failures else 0
-
-
-# ----------------------------------------------------------------------
-# KV-service SLO reporting and smoke gate
+# KV-service SLO reporting
 # ----------------------------------------------------------------------
 
 def _kv_spec_from_args(args: argparse.Namespace) -> KVServiceSpec:
@@ -623,7 +343,7 @@ def _kv_spec_from_args(args: argparse.Namespace) -> KVServiceSpec:
 
 def _kv_run(spec: KVServiceSpec, mechanism: str, config: MachineConfig,
             crash_points: Optional[int] = None, crash_seed: int = 0):
-    """One span-tracked KV run -> (result, records, SLO payload)."""
+    """One span-tracked KV run -> (records, SLO payload)."""
     observer = Observer(spans=True)
     result = simulate(spec, mechanism, config, observer=observer)
     records = slo.build_records(spec, result.config, observer.spans,
@@ -632,7 +352,7 @@ def _kv_run(spec: KVServiceSpec, mechanism: str, config: MachineConfig,
     if crash_points is not None:
         payload["recovery"] = slo.recovery_summary(
             result, crash_points, crash_seed, records)
-    return result, records, payload
+    return records, payload
 
 
 def _render_kv_rows(payloads: dict) -> List[str]:
@@ -671,7 +391,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     all_records: dict = {}
     crash_points = args.crash_points if args.crash_points else None
     for mechanism in args.mechanisms:
-        _result, records, payload = _kv_run(
+        records, payload = _kv_run(
             spec, mechanism, config,
             crash_points=crash_points, crash_seed=args.seed)
         payloads[mechanism] = payload
@@ -725,119 +445,87 @@ def cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_kvsmoke(args: argparse.Namespace) -> int:
-    """Gate the KV-service span tracking: overhead, identity, exactness.
+# ----------------------------------------------------------------------
+# Telemetry overhead gate
+# ----------------------------------------------------------------------
 
-    The same ABBA discipline as ``fastsmoke`` (see the comment there on
-    why back-to-back rounds beat min-of-N on a shared box), but the
-    observed side attaches a spans-only Observer — the per-request hook
-    the scheduler loop records. Alongside the overhead number, the
-    gates the figure is meaningless without: every makespan identical
-    (span tracking must not perturb the simulation) and streaming
-    percentiles exactly equal to the stored-record percentiles. The
-    snapshot also carries the lrp/bb/sb SLO payloads so
-    the history dashboard gates service latency/throughput drift.
+def overhead_cells() -> List[Tuple[str, object, str, MachineConfig,
+                                   Callable[[], Observer]]]:
+    """The cells ``overhead`` times: (label, spec, mechanism, config,
+    observer factory)."""
+    from repro.bench.configs import SCALED_CONFIG, bench_config, \
+        figure_spec
+
+    return [
+        ("hashmap/lrp paper scale, metrics+timeline",
+         figure_spec("hashmap", num_threads=32, scale="paper", seed=1),
+         "lrp", bench_config(SCALED_CONFIG),
+         lambda: Observer(timeline_interval=DEFAULT_TIMELINE_INTERVAL)),
+        ("kv hashmap/lrp 16x192, spans",
+         KVServiceSpec(structure="hashmap", num_threads=16,
+                       initial_size=1024, requests_per_thread=192,
+                       seed=42),
+         "lrp", MachineConfig(num_cores=16),
+         lambda: Observer(spans=True)),
+    ]
+
+
+def abba_overhead(spec, mechanism: str, config: MachineConfig,
+                  observer: Callable[[], Observer],
+                  rounds: int) -> Tuple[float, Set[int]]:
+    """Median telemetry overhead in percent over ``rounds`` ABBA
+    rounds of cold cells, and the set of makespans seen.
+
+    Load on a shared host drifts on a minutes timescale, far more than
+    the overhead being measured, so a min-of-N plain against a min-of-N
+    observed compares minima from different load eras. Each round
+    instead times plain/observed/observed/plain back to back (linear
+    drift within the round cancels) and yields one ratio; the median
+    over rounds is robust to a round a background task stomped on.
     """
-    import time
-
     from repro.core.simulator import clear_setup_cache
 
-    spec = _kv_spec_from_args(args)
-    config = _config_from_args(args)
+    makespans: Set[int] = set()
 
-    print(f"[kvsmoke] {spec.structure}/kv: {spec.num_threads} clients "
-          f"x {spec.requests_per_thread} requests, median of "
-          f"{args.rounds} ABBA rounds")
-
-    makespans = set()
-
-    def timed_cell(observe: bool) -> float:
+    def timed(observe: bool) -> float:
         clear_setup_cache()
-        t0 = time.perf_counter()
-        result = simulate(spec, args.mechanism, config,
-                          observer=Observer(spans=True)
-                          if observe else None)
-        dt = time.perf_counter() - t0
+        start = time.perf_counter()
+        result = simulate(spec, mechanism, config,
+                          observer=observer() if observe else None)
+        elapsed = time.perf_counter() - start
         makespans.add(result.makespan)
-        return dt
+        return elapsed
 
-    ratios: List[float] = []
-    best_plain = best_obs = float("inf")
+    ratios = []
     try:
-        for _ in range(args.rounds):
-            a1 = timed_cell(False)
-            b1 = timed_cell(True)
-            b2 = timed_cell(True)
-            a2 = timed_cell(False)
-            ratios.append((b1 + b2) / (a1 + a2))
-            best_plain = min(best_plain, a1, a2)
-            best_obs = min(best_obs, b1, b2)
+        for _ in range(rounds):
+            plain_a, observed_a = timed(False), timed(True)
+            observed_b, plain_b = timed(True), timed(False)
+            ratios.append((observed_a + observed_b) / (plain_a + plain_b))
     finally:
         clear_setup_cache()
+    return 100.0 * (statistics.median(ratios) - 1.0), makespans
 
-    ratios.sort()
-    mid = len(ratios) // 2
-    median_ratio = (ratios[mid] if len(ratios) % 2
-                    else (ratios[mid - 1] + ratios[mid]) / 2)
-    overhead_pct = 100.0 * (median_ratio - 1.0)
-    makespan_identical = len(makespans) == 1
 
-    # The service-comparison payloads (and the streaming-vs-exact
-    # percentile reconciliation, on every mechanism's records).
-    payloads: dict = {}
-    quantiles_exact = True
-    for mechanism in KV_MECHANISMS:
-        _result, records, payload = _kv_run(
-            spec, mechanism, config,
-            crash_points=args.crash_points, crash_seed=args.seed)
-        payloads[mechanism] = payload
-        for values in ([r.latency for r in records],
-                       [r.durable_latency for r in records]):
-            reservoir = slo.LatencyReservoir()
-            for value in values:
-                reservoir.observe(value)
-            quantiles_exact &= all(
-                reservoir.quantile(q) == slo.exact_quantile(values, q)
-                for _name, q in slo.SLO_QUANTILES)
-
-    snapshot = {
-        "suite.cell": f"{spec.structure}/kv/{args.mechanism}",
-        "suite.threads": spec.num_threads,
-        "suite.requests": spec.total_requests,
-        "suite.rounds": args.rounds,
-        "seconds_plain": round(best_plain, 4),
-        "seconds_obs": round(best_obs, 4),
-        "telemetry_overhead_pct": round(overhead_pct, 2),
-        "makespan_identical": makespan_identical,
-        "quantiles_exact": quantiles_exact,
-        "kv": payloads,
-    }
-    _ensure_parent(args.bench_out)
-    with open(args.bench_out, "w") as handle:
-        json.dump(snapshot, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-    print(f"[kvsmoke] plain {best_plain:.3f}s  observed {best_obs:.3f}s"
-          f"  overhead +{overhead_pct:.1f}% "
-          f"(limit {args.overhead_limit:.0f}%)")
-    print(f"[kvsmoke] makespan_identical={makespan_identical}  "
-          f"quantiles_exact={quantiles_exact}")
-    for line in _render_kv_rows(payloads):
-        print(f"[kvsmoke] {line}")
-    print(f"[kvsmoke] wrote {args.bench_out}")
+def cmd_overhead(args: argparse.Namespace) -> int:
+    if args.rounds < 1:
+        raise ValueError("--rounds must be >= 1")
     failures = []
-    if not makespan_identical:
-        failures.append("span tracking perturbed the makespan")
-    if not quantiles_exact:
-        failures.append("streaming percentiles diverge from the "
-                        "stored-record percentiles")
-    if overhead_pct > args.overhead_limit:
-        failures.append(f"span-tracking overhead {overhead_pct:.1f}% "
-                        f"exceeds {args.overhead_limit:.0f}%")
+    for label, spec, mechanism, config, observer in overhead_cells():
+        overhead_pct, makespans = abba_overhead(spec, mechanism, config,
+                                                observer, args.rounds)
+        print(f"[overhead] {label}: {overhead_pct:+.1f}% (median of "
+              f"{args.rounds} ABBA rounds), makespan "
+              f"{', '.join(str(m) for m in sorted(makespans))}")
+        if len(makespans) != 1:
+            failures.append(f"{label}: telemetry changed the makespan")
+        if overhead_pct > OVERHEAD_LIMIT_PCT:
+            failures.append(f"{label}: overhead {overhead_pct:.1f}% "
+                            f"exceeds {OVERHEAD_LIMIT_PCT:.0f}%")
     for failure in failures:
-        print(f"[kvsmoke] FAILED: {failure}", file=sys.stderr)
+        print(f"[overhead] FAILED: {failure}", file=sys.stderr)
     if not failures:
-        print("[kvsmoke] PASSED")
+        print("[overhead] PASSED")
     return 1 if failures else 0
 
 
@@ -845,9 +533,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Observability utilities: trace export, "
-                    "critical-path attribution, self-test.")
-    parser.add_argument("--selftest", action="store_true",
-                        help="tiny-workload end-to-end obs check")
+                    "critical-path attribution, service reports.")
     subparsers = parser.add_subparsers(dest="command")
 
     trace_parser = subparsers.add_parser(
@@ -860,7 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report_parser = subparsers.add_parser(
         "report", help="print the critical-path attribution report")
     report_parser.add_argument("--mechanisms", nargs="+",
-                               default=list(SELFTEST_MECHANISMS))
+                               default=list(REPORT_MECHANISMS))
     _add_workload_args(report_parser)
 
     timeline_parser = subparsers.add_parser(
@@ -935,32 +621,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="rows per delta table (default: %(default)s)")
     _add_workload_args(diff_parser)
 
-    fastsmoke_parser = subparsers.add_parser(
-        "fastsmoke",
-        help="gate the batched engine's telemetry overhead and "
-             "makespan identity; write BENCH_obsfast.json")
-    fastsmoke_parser.add_argument("--mechanism", default="lrp")
-    fastsmoke_parser.add_argument("--workload", default="hashmap")
-    fastsmoke_parser.add_argument("--threads", type=int, default=32)
-    fastsmoke_parser.add_argument(
-        "--scale", default="paper", choices=("quick", "full", "paper"),
-        help="figure-cell scale (default: %(default)s)")
-    fastsmoke_parser.add_argument("--seed", type=int, default=1)
-    fastsmoke_parser.add_argument(
-        "--rounds", type=int, default=5,
-        help="ABBA rounds (plain/observed/observed/plain, one overhead "
-             "ratio each); the median ratio is the reported overhead "
-             "(default: %(default)s)")
-    fastsmoke_parser.add_argument(
-        "--interval", type=int, default=DEFAULT_TIMELINE_INTERVAL,
-        help="timeline window width in cycles (default: %(default)s)")
-    fastsmoke_parser.add_argument(
-        "--overhead-limit", type=float, default=15.0,
-        help="max telemetry overhead percent (default: %(default)s)")
-    fastsmoke_parser.add_argument(
-        "--bench-out", metavar="FILE", default="BENCH_obsfast.json",
-        help="snapshot destination (default: %(default)s)")
-
     slo_parser = subparsers.add_parser(
         "slo",
         help="KV-service report: throughput, exact latency "
@@ -1004,40 +664,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json-out", metavar="FILE",
         help="full SLO payloads as JSON")
 
-    kvsmoke_parser = subparsers.add_parser(
-        "kvsmoke",
-        help="gate the KV-service span-tracking overhead and "
-             "exactness; write BENCH_kv.json")
-    kvsmoke_parser.add_argument("--mechanism", default="lrp",
-                                help="mechanism timed in the ABBA "
-                                     "rounds (default: %(default)s)")
-    kvsmoke_parser.add_argument("--workload", default="hashmap")
-    kvsmoke_parser.add_argument("--threads", type=int, default=16)
-    kvsmoke_parser.add_argument("--size", type=int, default=1024)
-    kvsmoke_parser.add_argument("--requests", type=int, default=192,
-                                help="requests per client "
-                                     "(default: %(default)s)")
-    kvsmoke_parser.add_argument("--read-ratio", type=float, default=0.9)
-    kvsmoke_parser.add_argument("--zipf-theta", type=float,
-                                default=0.99)
-    kvsmoke_parser.add_argument("--seed", type=int, default=42)
-    kvsmoke_parser.add_argument("--uncached", action="store_true")
-    kvsmoke_parser.add_argument(
+    overhead_parser = subparsers.add_parser(
+        "overhead",
+        help="gate the telemetry overhead (at most 15%%) and makespan "
+             "identity on a paper-scale cell and the KV service")
+    overhead_parser.add_argument(
         "--rounds", type=int, default=5,
-        help="ABBA rounds (plain/spans/spans/plain, one overhead "
-             "ratio each); the median ratio is the reported overhead "
-             "(default: %(default)s)")
-    kvsmoke_parser.add_argument(
-        "--crash-points", type=int, default=8,
-        help="crash prefixes per mechanism for the recovery payload "
-             "(default: %(default)s)")
-    kvsmoke_parser.add_argument(
-        "--overhead-limit", type=float, default=15.0,
-        help="max span-tracking overhead percent "
-             "(default: %(default)s)")
-    kvsmoke_parser.add_argument(
-        "--bench-out", metavar="FILE", default="BENCH_kv.json",
-        help="snapshot destination (default: %(default)s)")
+        help="ABBA rounds per cell (plain/observed/observed/plain, one "
+             "overhead ratio each); the median ratio is the reported "
+             "overhead (default: %(default)s)")
 
     audit_parser = subparsers.add_parser(
         "audit",
@@ -1065,8 +700,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.lfds import WORKLOAD_NAMES
         args.workloads = list(WORKLOAD_NAMES)
     try:
-        if args.selftest:
-            return 0 if run_selftest() else 1
         if args.command == "trace":
             return cmd_trace(args)
         if args.command == "report":
@@ -1081,12 +714,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_flame(args)
         if args.command == "diff":
             return cmd_diff(args)
-        if args.command == "fastsmoke":
-            return cmd_fastsmoke(args)
         if args.command == "slo":
             return cmd_slo(args)
-        if args.command == "kvsmoke":
-            return cmd_kvsmoke(args)
+        if args.command == "overhead":
+            return cmd_overhead(args)
     except (ValueError, OSError) as exc:
         # Operator errors (unknown mechanism/workload, unwritable or
         # missing file, export without the requested data) get a

@@ -8,7 +8,8 @@ speedscope. Two views over one serialized
 * ``stalls`` (the default): value = persist-stall **cycles**, stacks
   ``site;reason;mechanism``. The per-site totals sum exactly to
   ``RunStats.persist_stall_cycles`` (same single charge point,
-  ``PersistencyMechanism._charge_stall``) — pinned by the obs selftest.
+  ``PersistencyMechanism._charge_stall``) — pinned by
+  ``tests/test_provenance.py``.
 * ``persists``: value = persist **count**, stacks
   ``site;trigger;mechanism`` — where the writebacks come from and why
   they were triggered, whether or not anyone stalled on them.

@@ -22,8 +22,8 @@ bit-identical when enabled (the tracker only reads simulator state):
   attributed to the site of the op the waiting thread was executing.
   Their sum reconciles **exactly** with
   ``RunStats.persist_stall_cycles`` (every charge goes through
-  ``PersistencyMechanism._charge_stall``) — pinned by the obs selftest
-  and ``tests/test_provenance.py``.
+  ``PersistencyMechanism._charge_stall``) — pinned by
+  ``tests/test_provenance.py``.
 
 The collapsed-stack flamegraph (:mod:`repro.obs.flame`) and the
 differential run comparison (:mod:`repro.obs.diff`) are both built

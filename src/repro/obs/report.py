@@ -15,7 +15,7 @@ for a concrete run: every core's final clock decomposes exactly into
 The *run's* critical path is the slowest core's decomposition — that
 core's clock **is** the makespan. Machine-wide totals are reported too;
 their persist-stall component reconciles exactly with
-``RunStats.persist_stall_cycles`` (an obs-selftest invariant).
+``RunStats.persist_stall_cycles`` (pinned by ``tests/test_obs.py``).
 """
 
 from __future__ import annotations

@@ -30,8 +30,9 @@ full request records from them and computes the service story —
   LRP-vs-eager differentiator.
 * **exact streaming percentiles.** :class:`LatencyReservoir` keeps a
   value -> count map (cycles are small ints), so its nearest-rank
-  quantiles are *exact* and the selftest reconciles them against
-  sorting the stored per-request records — no approximation to trust.
+  quantiles are *exact*, and ``tests/test_slo.py`` reconciles them
+  against sorting the stored per-request records for every mechanism
+  — no approximation to trust.
 * **crash outcomes.** Crash the finished run at sampled persist-log
   prefixes (:func:`repro.core.recovery.crash_points`), validate null
   recovery, and count the requests that had completed but not yet
@@ -101,7 +102,7 @@ class LatencyReservoir:
     A value -> count map: O(1) per observation, mergeable across
     threads and runs, and — because nothing is dropped — its
     nearest-rank quantiles equal those of the fully stored sample
-    (pinned by the obs selftest against the per-request records).
+    (pinned by ``tests/test_slo.py`` against the per-request records).
     """
 
     __slots__ = ("counts", "total")
@@ -271,11 +272,10 @@ def build_records(spec, config, spans,
 
 def slo_summary(records: Sequence[RequestRecord],
                 makespan: int) -> Dict[str, object]:
-    """The flat SLO dict (BENCH_kv.json / fig_kv rows).
+    """The flat SLO dict (``repro.obs slo --json-out`` / fig_kv rows).
 
-    Metric names deliberately match the history classifier's SLO
-    markers: ``p50``/``p99``/``p999`` gate as latency (lower-better,
-    tolerance), ``throughput`` as quality (higher-better).
+    Every value is simulated cycles or a count, so the payloads are
+    deterministic; ``tests/data/kv_slo.json`` pins them exactly.
     """
     latencies = LatencyReservoir()
     durables = LatencyReservoir()

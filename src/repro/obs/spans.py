@@ -21,8 +21,8 @@ the covering persists long after the request completed (the persist
 log records the youngest store event per persisted word). Arrival
 times and the durable point are reconstructed *post hoc* by
 :mod:`repro.obs.slo` — the hot path never computes them, which is what
-keeps makespans bit-identical with span tracking on (pinned by the obs
-selftest).
+keeps makespans bit-identical with span tracking on (pinned by
+``tests/test_kvservice.py``).
 
 Spans are opt-in (``Observer(spans=True)``) and the tracker is a
 FastObs-style flat table: two plain per-thread ``list.append`` calls

@@ -64,7 +64,7 @@ class PersistencyMechanism:
         # Pre-resolved observability endpoints for the per-persist /
         # per-stall narration: name building, registry lookups and
         # method dispatch per event are measurable at paper scale (the
-        # telemetry wall-gate in BENCH_obsfast.json), so the hot sites
+        # telemetry gate `python -m repro.obs overhead`), so the hot sites
         # below write straight into the counter dict / histogram /
         # window dicts. Histograms and series stay lazily created so
         # the export carries exactly the entries the plain Observer

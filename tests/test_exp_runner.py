@@ -208,23 +208,6 @@ class TestKeyStability:
 
 
 class TestSatelliteFixes:
-    def test_selftest_seed_threads_into_specs(self):
-        from repro.exp.__main__ import selftest_jobs
-
-        default = selftest_jobs()
-        seeded = selftest_jobs(seed=42)
-        assert {job.spec.seed for job in default} == {1}
-        assert {job.spec.seed for job in seeded} == {42}
-        assert len(default) == len(seeded)
-
-    def test_cli_exposes_seed_flag(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.exp", "--help"],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": "src"}, cwd=".",
-        ).stdout
-        assert "--seed" in out
-
     def test_simulate_all_mechanisms_accepts_any_sequence(self):
         spec = WorkloadSpec(structure="queue", num_threads=2,
                             initial_size=16, ops_per_thread=4, seed=0)
@@ -337,6 +320,42 @@ class TestCacheCLI:
                             str(tmp_path)) == 2
 
 
+#: Bad input to the CLIs that run through ``run_cli``.
+BAD_INPUTS = {
+    "fuzz-replay-missing": ["repro.fuzz", "--replay", "missing.json"],
+    "fuzz-replay-malformed": ["repro.fuzz", "--replay", "malformed.json"],
+    "fuzz-replay-list": ["repro.fuzz", "--replay", "list.json"],
+    "fuzz-replay-no-fields": ["repro.fuzz", "--replay", "fieldless.json"],
+    "fuzz-budget-0": ["repro.fuzz", "--budget", "0"],
+    "fuzz-jobs-0": ["repro.fuzz", "--jobs", "0", "--budget", "2"],
+    "fuzz-unknown-mechanism": ["repro.fuzz", "--mechanism", "bogus"],
+    "fuzz-unknown-workload": ["repro.fuzz", "--workload", "bogus"],
+    "figures-jobs-0": ["repro.bench.figures", "--jobs", "0"],
+    "bench-jobs-0": ["repro.bench", "--jobs", "0"],
+    "prune-bad-age": ["repro.exp", "cache", "prune", "--older-than", "abc"],
+    "prune-bad-size": ["repro.exp", "cache", "prune", "--max-bytes", "5X"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_error(tmp_path, case):
+    """Bad option values and unreadable input files end in one
+    ``prog: error: ...`` line on stderr, never a traceback."""
+    (tmp_path / "malformed.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "fieldless.json").write_text(
+        '{"format": "repro-fuzz-repro-v1"}')
+    done = subprocess.run(
+        [sys.executable, "-m", *BAD_INPUTS[case]],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+             "REPRO_EXP_CACHE_DIR": str(tmp_path / "cache")},
+        cwd=str(tmp_path), capture_output=True, text=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 1, lines
+    assert len(lines) == 1 and ": error: " in lines[0], lines
+    assert "Traceback" not in done.stderr
+
+
 # ----------------------------------------------------------------------
 # Killed runs: resume from the cache, leave no orphaned workers
 # ----------------------------------------------------------------------
@@ -402,13 +421,16 @@ def _wait_for_pool_ignoring_sigint(proc, workers=2):
 
 
 #: Pooled CLIs besides ``figures``, each a run long enough to be
-#: interrupted inside its pool.
+#: interrupted inside its pool, and the one stderr line Ctrl-C leaves.
 POOLED_CLIS = {
-    "exp": ["repro.exp", "--selftest", "--jobs", "2", "--quiet",
-            "--output", "runner.json"],
-    "fuzz": ["repro.fuzz", "--mechanism", "lrp", "--budget", "1000",
-             "--jobs", "2", "--size", "16384", "--ops", "256",
-             "--threads", "8", "--quiet"],
+    "bench": (["repro.bench", "--figures", "fig5", "--jobs", "2",
+               "--no-cache", "--quiet"],
+              "repro.bench: interrupted; rerun the same command to "
+              "resume from the result cache"),
+    "fuzz": (["repro.fuzz", "--mechanism", "lrp", "--budget", "1000",
+              "--jobs", "2", "--size", "16384", "--ops", "256",
+              "--threads", "8", "--quiet"],
+             "repro.fuzz: interrupted"),
 }
 
 
@@ -466,8 +488,9 @@ class TestKilledRun:
     def test_ctrl_c_on_a_pooled_cli_prints_one_line(self, tmp_path, cli):
         """Ctrl-C while the runner waits on its pool: exit status 130
         and one line on stderr, as for ``figures``."""
+        argv, line = POOLED_CLIS[cli]
         proc = subprocess.Popen(
-            [sys.executable, "-m", *POOLED_CLIS[cli]],
+            [sys.executable, "-m", *argv],
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             cwd=str(tmp_path), stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE, start_new_session=True)
@@ -479,7 +502,7 @@ class TestKilledRun:
             _kill_session(proc)
         lines = stderr.decode().splitlines()
         assert proc.returncode == 130, lines
-        assert lines == [f"repro.{cli}: interrupted"]
+        assert lines == [line]
 
     def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
         proc = _start_fig5(tmp_path / "cache", tmp_path, "--no-cache")

@@ -6,6 +6,7 @@ and the corpus/campaign layer — plus the determinism contract: a
 campaign is a pure function of (workload, mechanism, seed, budget).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -307,6 +308,15 @@ class TestReproFile:
         outcome = replay_repro(path)
         assert outcome["ok"], outcome
 
+    @pytest.mark.parametrize("mechanism", ["arp", "nop"])
+    def test_every_written_repro_replays(self, tmp_path, mechanism):
+        result = run_campaign(CampaignConfig(
+            mechanism=mechanism, budget=12, out_dir=str(tmp_path)))
+        paths = [ce["repro_path"] for ce in result.counterexamples]
+        assert paths
+        for path in paths:
+            assert replay_repro(path)["ok"], path
+
     def test_roundtrip_preserves_fields(self, tmp_path):
         result = self._campaign(tmp_path)
         path = result.counterexamples[0]["repro_path"]
@@ -383,17 +393,34 @@ class TestCampaign:
         assert ce["shrunk"] and ce["strictly_smaller"]
         assert ce["verdict"]["cut_violations"] > 0
 
+    def test_nop_campaign_finds_and_shrinks(self):
+        result = run_campaign(CampaignConfig(mechanism="nop", budget=12))
+        assert not result.clean
+        assert result.contract_ok
+        shrunk = [ce for ce in result.counterexamples if ce["shrunk"]]
+        assert any(ce["strictly_smaller"] for ce in shrunk)
+        assert any(ce["verdict"]["cut_violations"] > 0 for ce in shrunk)
+
     def test_lrp_campaign_is_clean(self):
         result = run_campaign(CampaignConfig(
             mechanism="lrp", budget=10, crash_samples=12))
         assert result.clean and result.contract_ok
         assert not result.counterexamples
 
-    def test_same_seed_is_bit_identical(self):
+    @pytest.mark.parametrize("mechanism", ["sb", "bb"])
+    def test_eager_campaigns_are_clean(self, mechanism):
+        result = run_campaign(CampaignConfig(mechanism=mechanism,
+                                             budget=8))
+        assert result.clean and result.contract_ok
+        assert not result.counterexamples
+
+    def test_same_seed_is_bit_identical(self, tmp_path):
         config = CampaignConfig(mechanism="arp", budget=12,
                                 crash_samples=12, seed=3)
+        # Saving the corpus to a directory changes nothing either.
+        rerun = dataclasses.replace(config, corpus_dir=str(tmp_path))
         assert _fingerprint(run_campaign(config)) == \
-            _fingerprint(run_campaign(config))
+            _fingerprint(run_campaign(rerun))
 
     def test_different_seed_differs(self):
         a = run_campaign(CampaignConfig(mechanism="lrp", budget=16,

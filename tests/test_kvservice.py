@@ -31,6 +31,7 @@ from repro.workloads.kvservice import (
 )
 
 MECHANISMS = ("nop", "sb", "bb", "lrp")
+ALL_MECHANISMS = MECHANISMS + ("arp", "dpo", "hops")
 
 
 def tiny_spec(**overrides):
@@ -159,7 +160,7 @@ def test_runs_are_deterministic():
 # Span tracking: free, bit-identical, engine-invariant
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
 def test_spans_do_not_change_the_run(mechanism):
     spec, config = tiny_spec(), tiny_config()
     plain = simulate(spec, mechanism, config)

@@ -10,12 +10,15 @@ The load-bearing guarantees:
   are monotone per track;
 * the critical-path attribution reconciles exactly with
   ``RunStats.persist_stall_cycles`` and its segments sum to the
-  makespan.
+  makespan;
+* ``python -m repro.obs overhead`` fails when telemetry costs more
+  than 15% or moves a makespan (checked on a fake clock).
 """
 
 import dataclasses
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -360,3 +363,42 @@ class TestAttribution:
     def test_render_handles_empty(self):
         report = render_attribution([], title="empty")
         assert "empty" in report
+
+
+# ----------------------------------------------------------------------
+# The telemetry overhead gate
+# ----------------------------------------------------------------------
+
+class TestOverheadGate:
+    """Exit status of ``python -m repro.obs overhead``. Every fake run
+    advances a fake clock by a fixed cost, so no host timing enters."""
+
+    def gate(self, monkeypatch, observed_cost, observed_makespan):
+        from repro.obs import __main__ as obs_cli
+
+        clock = [0.0]
+
+        def fake_simulate(spec, mechanism, config, observer=None):
+            observed = observer is not None
+            clock[0] += observed_cost if observed else 1.0
+            return SimpleNamespace(
+                makespan=observed_makespan if observed else 100)
+
+        monkeypatch.setattr(obs_cli, "simulate", fake_simulate)
+        monkeypatch.setattr(obs_cli, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        return obs_cli.main(["overhead", "--rounds", "3"])
+
+    def test_passes_within_the_limit(self, monkeypatch, capsys):
+        assert self.gate(monkeypatch, 1.10, 100) == 0
+        out = capsys.readouterr().out
+        assert out.count("+10.0%") == 2 and "PASSED" in out
+
+    def test_fails_above_the_limit(self, monkeypatch, capsys):
+        assert self.gate(monkeypatch, 1.20, 100) == 1
+        assert capsys.readouterr().err.count("exceeds 15%") == 2
+
+    def test_fails_when_telemetry_moves_a_makespan(self, monkeypatch,
+                                                    capsys):
+        assert self.gate(monkeypatch, 1.0, 101) == 1
+        assert capsys.readouterr().err.count("changed the makespan") == 2

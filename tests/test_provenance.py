@@ -347,3 +347,18 @@ class TestCommittedCaptures:
                                  f"hashmap-{mechanism}.provenance.json")
         with open(committed) as handle:
             assert json.loads(out.read_text()) == json.load(handle)
+
+    def test_diff_of_saved_captures_matches_committed_diff(self, tmp_path,
+                                                           capsys):
+        """``diff --captures A B`` reads two saved captures (the last
+        step of ``make provenance``) and writes the committed diff."""
+        out = tmp_path / "diff.json"
+        assert obs_main([
+            "diff", "--captures",
+            os.path.join(self.EXAMPLES, "hashmap-bb.provenance.json"),
+            os.path.join(self.EXAMPLES, "hashmap-lrp.provenance.json"),
+            "--json-out", str(out)]) == 0
+        committed = os.path.join(self.EXAMPLES, "hashmap-lrp-vs-bb.diff.json")
+        with open(committed) as handle:
+            assert json.loads(out.read_text()) == json.load(handle)
+        assert "first divergence" in capsys.readouterr().out

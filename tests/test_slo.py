@@ -3,11 +3,17 @@
 The streaming reservoir must be *exactly* the sort-based oracle, the
 durable frontier must implement the store-event semantics (suffix-min
 per word, prefix-max across words), and the reconstructed records must
-replay the open-loop arrival process coordination-omission free.
+replay the open-loop arrival process coordination-omission free. The
+lrp/bb/sb payloads of the 16-client KV cell are simulated cycles and
+counts, pinned exactly in ``tests/data/kv_slo.json``.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,7 @@ from repro.common.params import MachineConfig
 from repro.core.simulator import simulate
 from repro.obs import Observer
 from repro.obs.slo import (
+    SLO_QUANTILES,
     LatencyReservoir,
     RequestRecord,
     build_records,
@@ -33,6 +40,8 @@ from repro.obs.slo import (
 from repro.workloads.kvservice import KVServiceSpec, arrival_times
 
 MECHANISMS = ("sb", "bb", "lrp")
+ALL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_spec():
@@ -86,6 +95,22 @@ def test_reservoir_merge_and_roundtrip():
     assert restored.total == a.total
     merged = merged_reservoirs([a.to_dict(), b.to_dict()])
     assert merged.total == a.total + b.total
+
+
+@pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
+def test_reservoir_quantiles_exact_on_every_mechanism(mechanism):
+    """The streaming percentiles of a real run's request and durable
+    latencies equal the nearest-rank quantiles of the stored records."""
+    result, observer = observed_run(mechanism)
+    records = build_records(result.spec, result.config, observer.spans,
+                            persist_log=result.nvm.persist_log())
+    for values in ([r.latency for r in records],
+                   [r.durable_latency for r in records]):
+        reservoir = LatencyReservoir()
+        for value in values:
+            reservoir.observe(value)
+        for _name, q in SLO_QUANTILES:
+            assert reservoir.quantile(q) == exact_quantile(values, q)
 
 
 def test_reservoir_edge_cases():
@@ -306,3 +331,22 @@ def test_run_figure_kv_quick():
         assert payload["recovery"]["recovered_fraction"] == 1.0
     rendered = result.render()
     assert "LRP" in rendered and "durable p99" in rendered
+
+
+def test_kv_slo_payloads_are_pinned(tmp_path):
+    """``repro.obs slo`` on the 16-client x 192-request cell reproduces
+    the committed lrp/bb/sb payloads exactly: makespans, latency and
+    durable-latency percentiles, throughput and crash losses."""
+    out = tmp_path / "slo.json"
+    subprocess.run(
+        [sys.executable, "-m", "repro.obs", "slo", "--threads", "16",
+         "--size", "1024", "--requests", "192", "--json-out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=str(tmp_path), check=True, stdout=subprocess.DEVNULL,
+        timeout=300)
+    payloads = json.loads(out.read_text())["mechanisms"]
+    pinned = json.loads((ROOT / "tests" / "data" / "kv_slo.json")
+                        .read_text())
+    assert sorted(payloads) == sorted(pinned) == ["bb", "lrp", "sb"]
+    for mechanism in pinned:
+        assert payloads[mechanism] == pinned[mechanism], mechanism

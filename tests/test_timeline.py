@@ -237,6 +237,18 @@ class TestSummaryCarriesTimeline:
         assert timeline.interval == INTERVAL
         assert timeline.num_windows() > 0
 
+    @pytest.mark.parametrize("mech", MECHANISMS)
+    def test_summary_carries_the_observer_export(self, mech):
+        """A runner job ships exactly the metrics, timeline and
+        provenance an in-process Observer records for the same run."""
+        observer = Observer(timeline_interval=INTERVAL, provenance=True)
+        simulate(tiny_spec(), mech, tiny_config(), observer=observer)
+        summary = execute_job(Job(spec=tiny_spec(), mechanism=mech,
+                                  config=tiny_config(), collect_obs=True,
+                                  timeline_interval=INTERVAL,
+                                  collect_provenance=True))
+        assert summary.obs == observer.export()
+
     def test_obs_off_leaves_summary_bare(self):
         summary = execute_job(Job(spec=tiny_spec(), mechanism="lrp",
                                   config=tiny_config()))
