@@ -30,7 +30,7 @@ from repro.obs.fastobs import fold_histogram
 from repro.obs.metrics import Histogram
 from repro.obs.timeline import SPARK_BLOCKS, TimelineSampler, sparkline
 from repro.workloads.harness import WorkloadSpec
-from tests import engine_digests
+from tests import engine_digests, figure_pins
 
 ALL_MECHANISMS = ("nop", "sb", "bb", "arp", "dpo", "hops", "lrp")
 ALL_STRUCTURES = ("linkedlist", "hashmap", "bstree", "skiplist", "queue")
@@ -88,7 +88,8 @@ def test_fast_export_identical_across_intervals(golden, interval):
 def test_fig5_quick_makespans_identical_with_telemetry():
     """All 20 quick-scale Figure 5 makespans, telemetry ON, equal the
     committed BENCH_figures.json — the paper's headline grid must not
-    shift by a cycle when it is being watched."""
+    shift by a cycle when it is being watched. The same pass checks
+    the Figure 6 writeback counts against tests/data/figure_pins.json."""
     from repro.bench.configs import (SCALED_CONFIG, bench_config,
                                      figure_spec)
 
@@ -96,6 +97,7 @@ def test_fig5_quick_makespans_identical_with_telemetry():
     config = bench_config(SCALED_CONFIG)
     clear_setup_cache()
     makespans = {}
+    stats = {}
     for workload in ALL_STRUCTURES:
         for mechanism in ("nop", "sb", "bb", "lrp"):
             observer = Observer(timeline_interval=1000)
@@ -103,8 +105,11 @@ def test_fig5_quick_makespans_identical_with_telemetry():
                               mechanism, config, observer=observer)
             makespans.setdefault(workload, {})[mechanism] = \
                 result.makespan
+            stats[workload, mechanism] = result.stats
     clear_setup_cache()
     assert makespans == committed
+    assert (figure_pins.fig6_counts(stats)
+            == figure_pins.golden()["fig6"])
 
 
 # ----------------------------------------------------------------------
