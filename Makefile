@@ -27,8 +27,10 @@ test:
 
 # Fast feedback loop: skip the tests marked @pytest.mark.slow
 # (recovery campaigns, hypothesis property sweeps, cross-mechanism
-# interleaving checks). The provenance pins (trigger taxonomy, exact
-# stall reconciliation, bit-identity) always run here because none of
+# interleaving checks, and the cold recomputation of the figure pins
+# in tests/test_figure_pins.py, which only `make test` runs). The
+# provenance pins (trigger taxonomy, exact stall reconciliation,
+# bit-identity) always run here because none of
 # tests/test_provenance.py is marked slow; keep it that way. The same
 # holds for the killed-run contract in tests/test_exp_runner.py
 # (TestKilledRun: a SIGKILLed or Ctrl-C'd figures run resumes from the

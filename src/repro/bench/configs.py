@@ -96,8 +96,9 @@ _FULL: Dict[str, WorkloadScale] = {
 
 # Paper scale: 256K-element O(1)/O(log n) structures (the paper's
 # mid-range sizing) and enough ops per thread that the measured phase
-# dominates warmup. A single fig5 cell at this scale is minutes on the
-# batch engine; the full 20-cell sweep is an overnight job. The O(n)
+# dominates warmup. One lrp fig5 cell at this scale took 3.3 s
+# (hashmap) to 12.2 s (linked list) cold on a 2-vCPU host, 39 s for
+# all five, so the 20-cell sweep is a few minutes serial. The O(n)
 # linked list stays at 1K elements — beyond that its traversals alone
 # dwarf every persistency effect being measured.
 _PAPER: Dict[str, WorkloadScale] = {

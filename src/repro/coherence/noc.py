@@ -10,25 +10,17 @@ the mesh is second-order for the persist-stall effects under study).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.common.params import MachineConfig
-
-if TYPE_CHECKING:
-    from repro.obs import Observer
 
 
 class MeshNoC:
     """Deterministic hop-latency model of the 2D mesh."""
 
-    def __init__(self, config: MachineConfig,
-                 obs: Optional["Observer"] = None) -> None:
-        self._config = config
-        self._obs = obs
+    def __init__(self, config: MachineConfig) -> None:
         self._dim = config.mesh_dim
         self._line_shift = config.line_offset_bits
         self._num_cores = config.num_cores
-        # Latencies are pure functions of (tile, tile); the access path
+        # Latencies are pure functions of (tile, tile); the miss path
         # asks for them several times per miss, so flatten the whole
         # matrix once (num_cores^2 entries, tiny) and index it.
         dim = self._dim
@@ -61,12 +53,4 @@ class MeshNoC:
 
     def latency(self, tile_a: int, tile_b: int) -> int:
         """One-way message latency between two tiles."""
-        if self._obs is None:
-            return self._latency_table[tile_a * self._num_cores + tile_b]
-        if tile_a == tile_b:
-            self._obs.count("noc.msgs")
-            return 1
-        hops = self.hop_distance(tile_a, tile_b)
-        self._obs.count("noc.msgs")
-        self._obs.count("noc.hops", hops)
-        return hops * self._config.noc_hop_cycles + 1
+        return self._latency_table[tile_a * self._num_cores + tile_b]

@@ -25,7 +25,8 @@ dispatch per memory operation by exploiting two structural facts:
   ``on_acquire`` hook is structurally a no-op (detected by method
   identity, so mechanism classes need no cooperation); everything else
   — writes, RMWs, misses, upgrades — funnels into the same
-  ``Machine`` methods :meth:`Machine.execute` uses.
+  ``Machine`` methods and miss/upgrade closures
+  (:meth:`Machine.make_fast_path`) that :meth:`Machine.execute` uses.
 
 Two extensions ride on the quantum boundary and the per-op dispatch:
 
@@ -43,7 +44,8 @@ Two extensions ride on the quantum boundary and the per-op dispatch:
   :class:`repro.obs.spans.SpanTracker` lanes. A trace or provenance
   collector adds one per-op branch: the memory op runs through
   :meth:`Machine.execute`, which names the op's provenance site and
-  emits the coherence instants, and the loop emits the op's
+  reaches the same closures (bound to this run's FastObs, so they
+  also emit the coherence instants), and the loop emits the op's
   ``core<tid>`` span.
 
 ``tests/engine_digests.py`` pins stats, persist streams, memory
@@ -147,7 +149,6 @@ def _run(scheduler) -> int:
     do_read = machine._do_read
     do_write = machine._do_write
     do_rmw = machine._do_rmw
-    coherence_access = machine.coherence_access
     execute = machine.execute
     l1s = machine.fabric.l1s
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
@@ -198,6 +199,8 @@ def _run(scheduler) -> int:
     # True only inside a boundary-straddling quantum with a timeline
     # attached; every quantum's telemetry setup re-derives it.
     fo_heavy = False
+    # Also rebinds the machine's own pair, so the narrated branch's
+    # Machine.execute feeds this run's FastObs through the same code.
     fast_miss, fast_upgrade = machine.make_fast_path(fastobs=fobs)
 
     # L1 geometry is config-wide (identical across cores); the
@@ -461,8 +464,8 @@ def _run(scheduler) -> int:
                             tid, op, lines[slot], clock, l1_hit_cycles)
                         ev_count = trace._count
                     elif code == SHARED_CODE:
-                        # CoherenceFabric.access's lookup touches the
-                        # LRU before the S->M upgrade.
+                        # The probe touches the LRU before the S->M
+                        # upgrade, as Machine.coherence_access does.
                         tick = l1._tick + 1
                         l1._tick = tick
                         lru[slot] = tick
@@ -472,16 +475,9 @@ def _run(scheduler) -> int:
                         result, latency = do_write(
                             tid, op, line, clock, latency)
                         ev_count = trace._count
-                    elif slot is None:
+                    else:
                         line, latency = fast_miss(
                             tid, line_addr, clock, True, set_index)
-                        trace._count = ev_count
-                        result, latency = do_write(
-                            tid, op, line, clock, latency)
-                        ev_count = trace._count
-                    else:
-                        line, latency = coherence_access(
-                            tid, line_addr, clock, True)
                         trace._count = ev_count
                         result, latency = do_write(
                             tid, op, line, clock, latency)
@@ -509,16 +505,9 @@ def _run(scheduler) -> int:
                         result, latency = do_rmw(
                             tid, op, line, clock, latency)
                         ev_count = trace._count
-                    elif slot is None:
+                    else:
                         line, latency = fast_miss(
                             tid, line_addr, clock, True, set_index)
-                        trace._count = ev_count
-                        result, latency = do_rmw(
-                            tid, op, line, clock, latency)
-                        ev_count = trace._count
-                    else:
-                        line, latency = coherence_access(
-                            tid, line_addr, clock, True)
                         trace._count = ev_count
                         result, latency = do_rmw(
                             tid, op, line, clock, latency)

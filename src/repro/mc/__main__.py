@@ -102,7 +102,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _list_main()
     try:
         return _check_main(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad names and unwritable --out paths end in one line.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

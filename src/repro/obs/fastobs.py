@@ -9,18 +9,18 @@ flat-table accumulator it writes instead, with plain list index
 arithmetic — no per-op name hashing, no dict churn, no method
 dispatch (plain lists beat ``array('q')`` here: small-int list stores
 skip the box/unbox round-trip a typed array pays on every ``+= 1``).
-The engine uses it for every observed run; with a trace or provenance
-collector attached the coherence path narrates into the Observer
-directly (through :meth:`Machine.execute`), and FastObs still derives
-the ``sched.*`` counters and the timeline windows:
+The engine uses it for every observed run, a trace or provenance
+collector included: the machine's miss/upgrade closures
+(:meth:`Machine.make_fast_path`) are bound to the run's FastObs, so
+:meth:`Machine.execute` feeds it through the same code as the engine's
+inline paths. It holds:
 
 * per-core op/cycle tallies for the scheduler's ``sched.*`` counters
   and the ``compute.c<i>`` / ``mem.c<i>`` timeline streams (kept as a
   current-window register per core, flushed to a list only when the
   window advances);
-* one flat list of slots for the coherence/fabric counters the
-  layered observed path emits per miss/upgrade (``dir.*``, ``noc.*``,
-  ``l1.fills``, ``coh.*``);
+* one flat list of slots for the coherence/fabric counters of each
+  miss/upgrade (``dir.*``, ``noc.*``, ``l1.fills``, ``coh.*``);
 * value->count tables for the two histograms on the miss path
   (``l1.set_occupancy`` indexed by occupancy, ``dir.block_wait`` as a
   sparse dict — block waits are rare);
@@ -30,8 +30,8 @@ the ``sched.*`` counters and the timeline windows:
 :meth:`FastObs.flush` folds everything into the attached Observer
 **additively** (counters add, histograms fold observation-for-
 observation, timeline windows add), so emissions other components made
-directly — mechanisms, the NoC/directory on the layered path taken
-under a trace or provenance collector — are preserved, and the final
+directly — the mechanisms, the NVM controller, the directory's
+``dir.lines_blocked`` count — are preserved, and the final
 ``Observer.export()`` is counter-for-counter, window-for-window
 identical to per-op narration. tests/test_fastobs.py pins that against
 exports the per-op reference loop recorded, across the full mechanism
@@ -229,12 +229,11 @@ class FastObs:
                 counters[name] = (counters.get(name, 0)
                                   + self.mem_cycles[core])
         coh = self.coh
-        # Fixed-ratio derivations (see Machine.make_fast_path): the
-        # observed layered path sends 2 messages for the doubled
-        # requester->home leg of a miss plus the forwarding legs (2) or
-        # the home->requester response (1), 2 for an upgrade plus 1 for
-        # its inv/ack when sharers were invalidated — and fills exactly
-        # one line per miss.
+        # Fixed-ratio derivations (see Machine.make_fast_path): a miss
+        # sends 2 messages for its doubled requester->home leg plus the
+        # forwarding legs (2) or the home->requester response (1), an
+        # upgrade 2 plus 1 for its inv/ack when sharers were
+        # invalidated — and a miss fills exactly one line.
         misses = coh[SLOT_DIR_MISSES]
         coh[SLOT_L1_FILLS] += misses
         coh[SLOT_NOC_MSGS] += (3 * misses + coh[SLOT_COH_DOWNGRADES]

@@ -1,16 +1,42 @@
-"""Unit and property tests for the L1 cache and line metadata."""
+"""Unit and property tests for the L1 cache and line metadata.
 
-import pytest
+Lines enter and leave an L1 only through the machine's coherence path,
+so fills, victim choice and LRU order are driven through
+:meth:`Machine.coherence_access` on a one-core machine.
+"""
+
 from hypothesis import given, settings, strategies as st
 
 from repro.coherence.l1cache import CacheLine, L1Cache, MESIState
 from repro.common.params import MachineConfig
+from repro.core.machine import Machine
+
+
+def _config(sets, assoc):
+    return MachineConfig(num_cores=1, l1_size_bytes=sets * assoc * 64,
+                         l1_assoc=assoc)
 
 
 def _cache(sets=4, assoc=2):
-    config = MachineConfig(l1_size_bytes=sets * assoc * 64,
-                           l1_assoc=assoc)
-    return L1Cache(0, config)
+    return L1Cache(0, _config(sets, assoc))
+
+
+def _machine(sets=4, assoc=2):
+    return Machine(_config(sets, assoc), "nop")
+
+
+def _read(machine, line_addr):
+    """Core 0 reads ``line_addr``; returns the line it now holds."""
+    return machine.coherence_access(0, line_addr, 0, False)[0]
+
+
+def _write(machine, line_addr):
+    return machine.coherence_access(0, line_addr, 0, True)[0]
+
+
+def _resident(machine):
+    """Addresses resident in core 0's L1."""
+    return {line.addr for line in machine.fabric.l1s[0].iter_lines()}
 
 
 class TestCacheLineMetadata:
@@ -61,95 +87,79 @@ class TestL1Lookup:
         assert _cache().lookup(0x1000) is None
 
     def test_fill_then_hit(self):
-        cache = _cache()
-        cache.fill(0x1000, MESIState.EXCLUSIVE)
-        line = cache.lookup(0x1000)
-        assert line is not None
+        machine = _machine()
+        filled = _read(machine, 0x1000)
+        line = machine.fabric.l1s[0].lookup(0x1000)
+        assert line is filled
         assert line.state is MESIState.EXCLUSIVE
-
-    def test_double_fill_rejected(self):
-        cache = _cache()
-        cache.fill(0x1000, MESIState.SHARED)
-        with pytest.raises(ValueError):
-            cache.fill(0x1000, MESIState.SHARED)
-
-    def test_fill_full_set_rejected(self):
-        cache = _cache(sets=1, assoc=2)
-        cache.fill(0x0, MESIState.SHARED)
-        cache.fill(0x40, MESIState.SHARED)
-        with pytest.raises(ValueError):
-            cache.fill(0x80, MESIState.SHARED)
-
-    def test_remove_missing_rejected(self):
-        with pytest.raises(KeyError):
-            _cache().remove(0x1000)
 
 
 class TestVictimSelection:
     def test_no_victim_when_room(self):
-        cache = _cache(sets=1, assoc=2)
-        cache.fill(0x0, MESIState.SHARED)
-        assert cache.select_victim(0x40) is None
+        machine = _machine(sets=1, assoc=2)
+        _read(machine, 0x0)
+        _read(machine, 0x40)
+        assert machine.stats[0].evictions == 0
+        assert _resident(machine) == {0x0, 0x40}
 
     def test_lru_victim(self):
-        cache = _cache(sets=1, assoc=2)
-        cache.fill(0x0, MESIState.SHARED)
-        cache.fill(0x40, MESIState.SHARED)
-        cache.lookup(0x0)  # touch: 0x40 is now LRU
-        victim = cache.select_victim(0x80)
-        assert victim.addr == 0x40
+        machine = _machine(sets=1, assoc=2)
+        _read(machine, 0x0)
+        _read(machine, 0x40)
+        _read(machine, 0x0)  # touch: 0x40 is now LRU
+        _read(machine, 0x80)
+        assert machine.stats[0].evictions == 1
+        assert _resident(machine) == {0x0, 0x80}
 
     def test_lookup_without_touch_preserves_lru(self):
-        cache = _cache(sets=1, assoc=2)
-        cache.fill(0x0, MESIState.SHARED)
-        cache.fill(0x40, MESIState.SHARED)
-        cache.lookup(0x0, touch=False)
-        victim = cache.select_victim(0x80)
-        assert victim.addr == 0x0
+        machine = _machine(sets=1, assoc=2)
+        _read(machine, 0x0)
+        _read(machine, 0x40)
+        machine.fabric.l1s[0].lookup(0x0, touch=False)
+        _read(machine, 0x80)
+        assert _resident(machine) == {0x40, 0x80}
 
     def test_victim_same_set_only(self):
-        cache = _cache(sets=2, assoc=1)
-        cache.fill(0x0, MESIState.SHARED)    # set 0
-        cache.fill(0x40, MESIState.SHARED)   # set 1
-        victim = cache.select_victim(0x80)   # set 0
-        assert victim.addr == 0x0
+        machine = _machine(sets=2, assoc=1)
+        _read(machine, 0x0)     # set 0
+        _read(machine, 0x40)    # set 1
+        _read(machine, 0x80)    # set 0
+        assert _resident(machine) == {0x40, 0x80}
 
 
 class TestScans:
     def test_pending_lines(self):
-        cache = _cache()
-        a = cache.fill(0x0, MESIState.MODIFIED)
-        cache.fill(0x40, MESIState.SHARED)
+        machine = _machine()
+        a = _write(machine, 0x0)
+        _read(machine, 0x40)
         a.record_write(0x0, 1, event_id=0, epoch=1)
-        pending = cache.pending_lines()
+        pending = machine.fabric.l1s[0].pending_lines()
         assert [l.addr for l in pending] == [0x0]
 
     def test_resident_count(self):
-        cache = _cache()
-        cache.fill(0x0, MESIState.SHARED)
-        cache.fill(0x40, MESIState.SHARED)
-        assert cache.resident_count() == 2
+        machine = _machine()
+        _read(machine, 0x0)
+        _read(machine, 0x40)
+        assert machine.fabric.l1s[0].resident_count() == 2
 
 
 class TestLRUProperty:
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=120))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_lru(self, accesses):
-        """The cache behaves exactly like a reference LRU model."""
-        cache = _cache(sets=1, assoc=4)
+        """After every access the set holds exactly the reference LRU
+        model's lines, and an eviction removes the model's LRU line."""
+        machine = _machine(sets=1, assoc=4)
         reference = []  # most recent last
+        evictions = 0
         for line_no in accesses:
             addr = line_no * 64
-            line = cache.lookup(addr)
-            if line is None:
-                victim = cache.select_victim(addr)
-                if victim is not None:
-                    assert reference[0] == victim.addr
-                    cache.remove(victim.addr)
-                    reference.pop(0)
-                cache.fill(addr, MESIState.SHARED)
-                reference.append(addr)
-            else:
+            _read(machine, addr)
+            if addr in reference:
                 reference.remove(addr)
-                reference.append(addr)
-            assert cache.resident_count() == len(reference)
+            elif len(reference) == 4:
+                assert reference.pop(0) not in _resident(machine)
+                evictions += 1
+            reference.append(addr)
+            assert machine.stats[0].evictions == evictions
+            assert _resident(machine) == set(reference)

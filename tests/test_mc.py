@@ -356,3 +356,14 @@ class TestCLI:
     def test_unknown_program_exits_two(self, capsys):
         assert mc_main.main(["--program", "bogus"]) == 2
         assert "unknown litmus program" in capsys.readouterr().err
+
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys):
+        """An --out path under a regular file is one error line and
+        status 2, not a traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert mc_main.main(["--program", "figure1_insert",
+                             "--mechanism", "arp", "--quiet",
+                             "--out", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
