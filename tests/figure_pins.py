@@ -13,13 +13,23 @@ is pinned by its integers, compared for exact equality:
 * ``ret`` — the RET ablation's NOP makespan and, per RET size, the
   LRP makespan and its ``ret_watermark_drains``;
 * ``recovery`` — ``crash_points`` and ``unrecoverable`` of every
-  recovery-matrix row.
+  recovery-matrix row;
+* ``bb_epochs`` — the ack-gated (``bb_pipelined_epochs=False``) BB
+  makespan of the 16-thread quick hashmap, whose pipelined BB and NOP
+  makespans are ``fig8["hashmap"]["16"]``;
+* ``bst`` — the NOP, BB and LRP makespans of the Natarajan-Mittal
+  tree (``bstree``) and the tombstone tree (``bstree_tomb``) at 16
+  threads, 16K keys and 32 ops each, with BB's ``total_persists`` and
+  ``total_ops``;
+* ``buffer_class`` — the makespan and ``total_persists`` of the
+  hashmap at that size under NOP and the five RP enforcers.
 
 Figure 5's own makespans are pinned by ``BENCH_figures.json``. Every
 figure is computed as ``python -m repro.bench.figures`` computes it,
-through a serial runner with no result cache. The Figure 6 counts are
-checked against the telemetry-on Figure 5 pass of
-``tests/test_fastobs.py``; the other figures by
+through a serial runner with no result cache; the three ablations,
+which that command does not run, call ``simulate`` directly. The
+Figure 6 counts are checked against the telemetry-on Figure 5 pass of
+``tests/test_fastobs.py``; the other entries by
 ``tests/test_figure_pins.py``.
 
 Regenerate (only when a figure is meant to change) with::
@@ -27,12 +37,15 @@ Regenerate (only when a figure is meant to change) with::
     PYTHONPATH=src python -m tests.figure_pins
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 from repro.bench import figures
-from repro.core.simulator import clear_setup_cache
+from repro.bench.configs import SCALED_CONFIG, bench_config, figure_spec
+from repro.core.simulator import clear_setup_cache, simulate
 from repro.exp.runner import ExperimentRunner
+from repro.workloads.harness import WorkloadSpec
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "figure_pins.json"
 
@@ -127,9 +140,53 @@ def recovery():
     return pins
 
 
+def bb_epochs():
+    config = dataclasses.replace(bench_config(SCALED_CONFIG),
+                                 bb_pipelined_epochs=False)
+    spec = figure_spec("hashmap", num_threads=16)
+    return {"ack_gated": simulate(spec, "bb", config).makespan}
+
+
+def _ablation_runs(structure, mechanisms):
+    """``{mech: {"makespan", "total_persists", "total_ops"}}`` of one
+    structure at 16 threads, 16K keys and 32 ops per thread."""
+    spec = WorkloadSpec(structure=structure, num_threads=16,
+                        initial_size=16384, ops_per_thread=32, seed=1)
+    config = bench_config(SCALED_CONFIG)
+    runs = {}
+    for mech in mechanisms:
+        result = simulate(spec, mech, config)
+        runs[mech] = {"makespan": result.makespan,
+                      "total_persists": result.stats.total_persists,
+                      "total_ops": result.stats.total_ops}
+    return runs
+
+
+def bst():
+    pins = {}
+    for structure in ("bstree", "bstree_tomb"):
+        runs = _ablation_runs(structure, ("nop", "bb", "lrp"))
+        pins[structure] = {
+            "makespan": {mech: run["makespan"]
+                         for mech, run in runs.items()},
+            "bb_total_persists": runs["bb"]["total_persists"],
+            "bb_total_ops": runs["bb"]["total_ops"],
+        }
+    return pins
+
+
+def buffer_class():
+    runs = _ablation_runs("hashmap",
+                          ("nop", "sb", "bb", "dpo", "hops", "lrp"))
+    return {mech: {"makespan": run["makespan"],
+                   "total_persists": run["total_persists"]}
+            for mech, run in runs.items()}
+
+
 #: Figure name -> zero-argument function computing its pins.
 FIGURES = {"fig6": fig6, "fig7": fig7, "fig8": fig8, "size": size,
-           "ret": ret, "recovery": recovery}
+           "ret": ret, "recovery": recovery, "bb_epochs": bb_epochs,
+           "bst": bst, "buffer_class": buffer_class}
 
 
 def compute(name):
