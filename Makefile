@@ -28,15 +28,19 @@ test:
 # Fast feedback loop: skip the tests marked @pytest.mark.slow
 # (recovery campaigns, hypothesis property sweeps, cross-mechanism
 # interleaving checks, and the cold recomputation of the figure pins
-# in tests/test_figure_pins.py, which only `make test` runs). The
-# provenance pins (trigger taxonomy, exact stall reconciliation,
-# bit-identity) always run here because none of
-# tests/test_provenance.py is marked slow; keep it that way. The same
-# holds for the killed-run contract in tests/test_exp_runner.py
-# (TestKilledRun: a SIGKILLed or Ctrl-C'd figures run resumes from the
-# result cache, and its pool workers exit with it; Ctrl-C on a pooled
-# `repro.fuzz` run, as on `figures`, ends in one stderr line and exit
-# status 130).
+# in tests/test_figure_pins.py, which only `make test` runs). Three
+# contracts always run here because none of their tests is marked
+# slow; keep it that way:
+# - the figure shape contracts (tests/test_figure_shapes.py: the
+#   paper's claims and EXPERIMENTS.md's tables, read off the committed
+#   pins without simulating);
+# - the provenance pins (tests/test_provenance.py: trigger taxonomy,
+#   exact stall reconciliation, bit-identity);
+# - the killed-run contract (TestKilledRun in
+#   tests/test_exp_runner.py: a SIGKILLed or Ctrl-C'd figures run
+#   resumes from the result cache, and its pool workers exit with it;
+#   Ctrl-C on a pooled `repro.fuzz` run, as on `figures`, ends in one
+#   stderr line and exit status 130).
 smoke:
 	$(PYTEST) -q -m "not slow"
 
@@ -69,6 +73,6 @@ trace:
 
 # Untracked outputs only.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks .perfbench provenance-out
+	rm -rf .pytest_cache .hypothesis .perfbench provenance-out
 	rm -f lrp-trace.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

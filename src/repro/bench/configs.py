@@ -18,18 +18,18 @@ ratios that drive the results:
 * **non-memory work per instruction** — ``compute_cycles_per_op=4``
   stands in for the ALU/branch work between memory accesses.
 
-Three scales are provided: ``quick`` (seconds per experiment, used by
-the pytest benchmarks), ``full`` (minutes, closer to paper ratios) and
-``paper`` (the paper's element counts outright with hundreds of ops
-per thread — sized for batch sweeps, not for interactive use;
-``python -m repro.obs overhead --rounds 1`` times one paper-scale
-hashmap cell).
+Three scales are provided: ``quick`` (seconds per experiment, the
+scale of the committed figures and their pins), ``full`` (minutes,
+closer to paper ratios) and ``paper`` (the paper's element counts
+outright with hundreds of ops per thread — sized for batch sweeps,
+not for interactive use; ``python -m repro.obs overhead --rounds 1``
+times one paper-scale hashmap cell).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.params import MachineConfig, NVMMode
 from repro.workloads.harness import WorkloadSpec
@@ -175,12 +175,3 @@ def figure_spec(workload: str, *, num_threads: int = 32,
         ops_per_thread=sizing.ops_per_thread,
         seed=seed,
     )
-
-
-def all_figure_specs(*, num_threads: int = 32, scale: str = "quick",
-                     seed: int = 1) -> List[WorkloadSpec]:
-    """One spec per workload, in the paper's plotting order."""
-    from repro.lfds import WORKLOAD_NAMES
-
-    return [figure_spec(name, num_threads=num_threads, scale=scale,
-                        seed=seed) for name in WORKLOAD_NAMES]

@@ -2,9 +2,9 @@
 
 Each ``run_*`` function executes the simulations behind one paper
 figure and returns a structured result that can render itself as the
-same rows/series the paper reports. The pytest benchmarks under
-``benchmarks/`` call these; ``python -m repro.bench.figures`` runs the
-whole evaluation from the command line.
+same rows/series the paper reports. ``python -m repro.bench.figures``
+runs the whole evaluation from the command line, and
+``tests/figure_pins.py`` computes the pinned figure integers with them.
 
 All simulations go through the :mod:`repro.exp` runner: every figure
 row is an independent deterministic job, so the suite fans out across
@@ -423,10 +423,6 @@ class KVServiceResult:
                         quantile: str = "p99") -> int:
         return self.payloads[mechanism]["durable_latency"][quantile]
 
-    def lost_requests_mean(self, mechanism: str) -> float:
-        recovery = self.payloads[mechanism].get("recovery", {})
-        return recovery.get("lost_requests", {}).get("mean", 0.0)
-
     def render(self) -> str:
         rows = []
         for mech in self.mechanisms:
@@ -578,7 +574,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--scale", choices=("quick", "full", "paper"),
                         default="quick",
                         help="workload sizing tier; 'paper' runs the "
-                             "paper's element counts outright")
+                             "paper's element counts outright. 'size' "
+                             "and 'recovery' are fixed sweeps that "
+                             "ignore it")
     parser.add_argument("--figures", nargs="*", default=None,
                         choices=("fig5", "fig6", "fig7", "fig8", "size",
                                  "ret", "recovery", "kv"),
@@ -679,7 +677,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if "size" in wanted:
         print(counted("size", run_size_sensitivity).render(), "\n")
     if "ret" in wanted:
-        print(counted("ret", run_ret_ablation).render(), "\n")
+        print(counted("ret", lambda: run_ret_ablation(
+            scale=args.scale)).render(), "\n")
     if "recovery" in wanted:
         print(counted("recovery", run_recovery_matrix).render())
     fig_kv = None

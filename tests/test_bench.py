@@ -5,14 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import figures
 from repro.bench.configs import (
     PAPER_CONFIG,
     SCALED_CONFIG,
-    all_figure_specs,
     figure_spec,
     uncached,
 )
 from repro.bench.figures import (
+    RetAblationResult,
+    run_figure5,
+    run_figure6,
+    run_figure8,
     run_normalized_execution,
     run_recovery_matrix,
     run_ret_ablation,
@@ -33,6 +37,7 @@ class TestConfigs:
     def test_scaled_config_documented_scaling(self):
         assert SCALED_CONFIG.l1_size_bytes == 8 * 1024
         assert SCALED_CONFIG.num_memory_controllers == 8
+        assert "8KB" in SCALED_CONFIG.describe()
 
     def test_uncached_flips_mode_only(self):
         config = uncached(SCALED_CONFIG)
@@ -49,11 +54,6 @@ class TestConfigs:
             figure_spec("btree", scale="quick")
         with pytest.raises(ValueError):
             figure_spec("hashmap", scale="huge")
-
-    def test_all_figure_specs_order(self):
-        specs = all_figure_specs(num_threads=2)
-        assert [s.structure for s in specs] == [
-            "linkedlist", "hashmap", "bstree", "skiplist", "queue"]
 
 
 class TestReport:
@@ -97,6 +97,18 @@ class TestSmokeRuns:
         assert "tiny" in result.render()
         assert isinstance(result.mean_improvement("sb", "lrp"), float)
 
+    def test_figure6_tiny(self):
+        result = run_figure6(run_figure5(num_threads=2,
+                                         workloads=["queue"]))
+        for value in result.fractions["queue"].values():
+            assert 0.0 <= value <= 1.0
+        assert "Figure 6" in result.render()
+
+    def test_figure8_tiny(self):
+        result = run_figure8(thread_counts=(1, 2), workloads=["queue"])
+        assert len(result.overheads["queue"]["lrp"]) == 2
+        assert "Figure 8 (queue)" in result.render()
+
     def test_size_sensitivity_tiny(self):
         result = run_size_sensitivity("queue", sizes=(32, 64),
                                       num_threads=2, ops_per_thread=4)
@@ -120,3 +132,19 @@ class TestSmokeRuns:
         assert "recovery" in result.render().lower()
         with pytest.raises(KeyError):
             result.outcome("hashmap", "xyz")
+
+
+class TestMain:
+    def test_scale_reaches_ret_ablation(self, monkeypatch):
+        calls = []
+
+        def stub(**kwargs):
+            calls.append(kwargs)
+            return RetAblationResult("hashmap", [], [], [])
+
+        monkeypatch.setattr(figures, "run_ret_ablation", stub)
+        # main() installs a process-wide default runner; undo it after.
+        monkeypatch.setattr("repro.exp.runner._default_runner", None)
+        figures.main(["--figures", "ret", "--scale", "full", "--no-cache",
+                      "--quiet", "--jobs", "1"])
+        assert calls == [{"scale": "full"}]

@@ -4,9 +4,10 @@ pins.
 The pins (``tests/data/figure_pins.json``, written by
 :mod:`tests.figure_pins`) are simulated integers, so the comparison is
 exact: a change that moves one makespan, writeback or persist count,
-RET drain or recovery verdict by one fails here. Figure 5's makespans are pinned by
-``BENCH_figures.json`` and Figure 6's counts by the telemetry-on
-Figure 5 pass in ``tests/test_fastobs.py``.
+RET drain or recovery verdict by one fails here. Figure 5's makespans
+are pinned by ``BENCH_figures.json`` and Figure 6's counts by the
+telemetry-on Figure 5 pass in ``tests/test_fastobs.py``;
+``tests/test_figure_shapes.py`` asserts the paper's claims on both.
 """
 
 import pytest

@@ -96,12 +96,10 @@ class TestValidation:
 class TestDescribe:
     def test_describe_mentions_table1_facts(self):
         text = DEFAULT_CONFIG.describe()
-        assert "64-core" in text
-        assert "32KB" in text
-        assert "MESI" in text
-        assert "120 cycles" in text
-        assert "350 cycles" in text
-        assert "32 Entries" in text
+        for fact in ("64-core", "32KB", "MESI", "cached mode: 120 cycles",
+                     "uncached mode: 350 cycles", "RET (private)",
+                     "32 Entries"):
+            assert fact in text, fact
 
     def test_describe_is_multiline(self):
         assert len(DEFAULT_CONFIG.describe().splitlines()) >= 7
