@@ -24,6 +24,12 @@ fills and evicts slots; a line leaving its cache (eviction or
 invalidation) detaches, capturing its final state, so the persistency
 hooks that inspect an evicted or invalidated line afterwards still
 read it.
+
+Replacement: a set's ways are the contiguous slots ``set * assoc`` to
+``set * assoc + assoc - 1``, and every touch stamps its slot with the
+cache's next tick. A fill stamps its slot too, so every way of a full
+set holds a live tick, and ticks are unique per L1: the victim of a
+full set is the way with the smallest tick in that slice of ``lru``.
 """
 
 from __future__ import annotations

@@ -20,22 +20,17 @@ class MeshNoC:
         self._dim = config.mesh_dim
         self._line_shift = config.line_offset_bits
         self._num_cores = config.num_cores
-        # Latencies are pure functions of (tile, tile); the miss path
-        # asks for them several times per miss, so flatten the whole
-        # matrix once (num_cores^2 entries, tiny) and index it.
+        # Hop counts and latencies are pure functions of (tile, tile);
+        # the miss path asks for them several times per miss, so
+        # flatten both matrices once (num_cores^2 entries, tiny) and
+        # index them.
         dim = self._dim
         hop = config.noc_hop_cycles
-        table = []
-        for a in range(self._num_cores):
-            ax, ay = a % dim, a // dim
-            for b in range(self._num_cores):
-                if a == b:
-                    table.append(1)
-                else:
-                    bx, by = b % dim, b // dim
-                    hops = abs(ax - bx) + abs(ay - by)
-                    table.append(hops * hop + 1)
-        self._latency_table = table
+        self._hop_table = [
+            abs(a % dim - b % dim) + abs(a // dim - b // dim)
+            for a in range(self._num_cores) for b in range(self._num_cores)
+        ]
+        self._latency_table = [hops * hop + 1 for hops in self._hop_table]
 
     @property
     def dim(self) -> int:
@@ -47,9 +42,7 @@ class MeshNoC:
 
     def hop_distance(self, tile_a: int, tile_b: int) -> int:
         """Manhattan distance between two tiles on the mesh."""
-        ax, ay = tile_a % self._dim, tile_a // self._dim
-        bx, by = tile_b % self._dim, tile_b // self._dim
-        return abs(ax - bx) + abs(ay - by)
+        return self._hop_table[tile_a * self._num_cores + tile_b]
 
     def latency(self, tile_a: int, tile_b: int) -> int:
         """One-way message latency between two tiles."""

@@ -349,13 +349,10 @@ def _run(scheduler) -> int:
                 # boundary 0 so the first op crosses.
                 nb_m = (cw_m + 1) * fo_interval if cw_m >= 0 else 0
 
-        # Resume the coroutine with the result of its last op.
+        # Resume the coroutine with the result of its last op (None
+        # starts a fresh one, as next() would).
         try:
-            if thread._started:
-                op = gen.send(thread._pending_result)
-            else:
-                thread._started = True
-                op = next(gen)
+            op = gen.send(thread._pending_result)
         except StopIteration:
             stats.cycles = clock
             thread.clock = clock

@@ -27,7 +27,6 @@ from typing import Optional, Tuple, Type, Union
 from repro.coherence.directory import CoherenceFabric
 from repro.coherence.l1cache import (
     CODE_TO_STATE,
-    EXCLUSIVE,
     EXCLUSIVE_CODE,
     INVALID,
     MODIFIED,
@@ -187,6 +186,7 @@ class Machine:
         mechanism = self.mechanism
         lids = fabric._lids
         lids_index = lids.index
+        lids_get = lids_index.get
         owner_arr = fabric._owner      # grown in place: alias stays valid
         sharers = fabric._sharers
         blocked = fabric._blocked_until
@@ -216,18 +216,15 @@ class Machine:
             fo_tl_dg = fastobs.tl_downgrades
             fo_tl_ev = fastobs.tl_evictions
             fo_trace = fastobs.observer.trace
-            hop = fabric.noc.hop_distance
-            hops_tab = [hop(a, b)
-                        for a in range(n) for b in range(n)]
+            hops_tab = fabric.noc._hop_table
             # Folded per-event hop totals: a plain (unforwarded) miss
             # crosses requester->home twice plus home->requester once;
-            # an upgrade crosses requester->home twice. One table
-            # lookup then replaces two lookups and two adds on the
-            # hottest path.
-            hops_miss3 = [2 * hop(a, b) + hop(b, a)
-                          for a in range(n) for b in range(n)]
-            hops_pair2 = [2 * hop(a, b)
-                          for a in range(n) for b in range(n)]
+            # an upgrade crosses requester->home twice. Mesh distance
+            # is symmetric, so each is a multiple of the one-way entry,
+            # and one table lookup replaces two lookups and two adds on
+            # the hottest path.
+            hops_miss3 = [3 * hops for hops in hops_tab]
+            hops_pair2 = [2 * hops for hops in hops_tab]
             S_MISS = _fo.SLOT_DIR_MISSES
             S_UPG = _fo.SLOT_DIR_UPGRADES
             S_BW = _fo.SLOT_DIR_BLOCK_WAIT_CYCLES
@@ -245,10 +242,9 @@ class Machine:
         def fast_miss(core, line_addr, now, exclusive, set_index):
             stats = stats_list[core]
             stats.l1_misses += 1
-            try:
-                lid = lids_index[line_addr]
-            except KeyError:
-                # First touch only: every later miss takes the hit path.
+            lid = lids_get(line_addr)
+            if lid is None:
+                # First touch: give the line its directory entry.
                 lid = lids.intern(line_addr)
                 owner_arr.append(-1)
                 sharers.append(0)
@@ -332,7 +328,11 @@ class Machine:
             lines = lines_by_core[core]
             victim = None
             if len(cache_set) >= assoc:
-                vslot = min(cache_set.values(), key=lru_list.__getitem__)
+                # A full set holds a live tick in every way, and ticks
+                # are unique per L1: the LRU way has the smallest.
+                base = set_index * assoc
+                ways = lru_list[base:base + assoc]
+                vslot = base + ways.index(min(ways))
                 victim = lines[vslot]
                 vaddr = victim.addr
                 # A resident line was interned by the miss that filled it.
@@ -342,22 +342,18 @@ class Machine:
                 sharers[vlid] &= ~(1 << core)
                 del cache_set[vaddr]
                 # Inline _detach: capture the final state on the view.
+                # The fill below takes over the slot's code and line.
                 victim._state = CODE_TO_STATE[codes[vslot]]
-                codes[vslot] = 0
-                lines[vslot] = None
                 victim._cache = None
                 victim._slot = -1
 
             if exclusive:
-                new_state = MODIFIED
                 new_code = MODIFIED_CODE
                 owner_arr[lid] = core
             elif not sharers[lid] and owner_arr[lid] < 0:
-                new_state = EXCLUSIVE
                 new_code = EXCLUSIVE_CODE
                 owner_arr[lid] = core
             else:
-                new_state = SHARED
                 new_code = SHARED_CODE
                 sharers[lid] |= 1 << core
 
@@ -375,7 +371,7 @@ class Machine:
             line.pending_words = {}
             line.min_epoch = None
             line.release_bit = False
-            line._state = new_state
+            # No _state: an attached line reads its state from codes.
             line._cache = l1
             line._slot = slot
             codes[slot] = new_code

@@ -25,12 +25,12 @@ WorkerFactory = Callable[[int], WorkerGen]
 class SimThread:
     """One hardware thread driving a workload coroutine.
 
-    The loop resumes ``gen`` with ``_pending_result``, the result of
-    the thread's previous op (``next(gen)`` on the first resume).
+    The loop resumes ``gen`` by sending it ``_pending_result``, the
+    result of the thread's previous op (None on the first resume,
+    which starts the coroutine).
     """
 
-    __slots__ = ("thread_id", "gen", "clock", "done", "_pending_result",
-                 "_started")
+    __slots__ = ("thread_id", "gen", "clock", "done", "_pending_result")
 
     def __init__(self, thread_id: int, gen: WorkerGen) -> None:
         self.thread_id = thread_id
@@ -38,7 +38,6 @@ class SimThread:
         self.clock = 0
         self.done = False
         self._pending_result: object = None
-        self._started = False
 
 
 class Scheduler:

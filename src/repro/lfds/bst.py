@@ -18,7 +18,7 @@ plain — the same DRF discipline as the other LFDs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.consistency.events import MemOrder
 from repro.core.thread import cas, load, store
@@ -33,6 +33,11 @@ from repro.lfds.base import (
     header_addr,
 )
 from repro.memory.address import WORD_BYTES, HeapAllocator
+
+# Hot-path aliases: a member access on the Enum class is a metaclass
+# lookup, and the op sites below evaluate these on every step.
+_ACQUIRE = MemOrder.ACQUIRE
+_RELEASE = MemOrder.RELEASE
 
 # Node layout: [key, value, left, right, alive]
 KEY, VALUE, LEFT, RIGHT, ALIVE = 0, 1, 2, 3, 4
@@ -66,26 +71,25 @@ class BinarySearchTree(LogFreeStructure):
         then link_ptr is None), or NULL with the child-link address
         where ``key`` would attach."""
         link_ptr = self.root_ptr
-        node = yield load(link_ptr, MemOrder.ACQUIRE)
+        node = yield load(link_ptr, _ACQUIRE)
         while node not in (NULL, None):
             node_key = yield load(field(node, KEY))
             if node_key == key:
                 return node, None
             link_ptr = field(node, LEFT if key < node_key else RIGHT)
-            node = yield load(link_ptr, MemOrder.ACQUIRE)
+            node = yield load(link_ptr, _ACQUIRE)
         return NULL, link_ptr
 
     def insert(self, key: int, value: int, tid=None) -> OpGen:
         while True:
             node, link_ptr = yield from self._locate(key)
             if node != NULL:
-                alive = yield load(field(node, ALIVE), MemOrder.ACQUIRE)
+                alive = yield load(field(node, ALIVE), _ACQUIRE)
                 if alive == 1:
                     return False
                 # Resurrect the tombstone: value first, then publish.
                 yield store(field(node, VALUE), value)
-                ok, _ = yield cas(field(node, ALIVE), 0, 1,
-                                  MemOrder.RELEASE)
+                ok, _ = yield cas(field(node, ALIVE), 0, 1, _RELEASE)
                 if ok:
                     return True
                 continue  # lost the race: re-examine
@@ -96,7 +100,7 @@ class BinarySearchTree(LogFreeStructure):
             yield store(field(fresh, LEFT), NULL)
             yield store(field(fresh, RIGHT), NULL)
             yield store(field(fresh, ALIVE), 1)
-            ok, _ = yield cas(link_ptr, NULL, fresh, MemOrder.RELEASE)
+            ok, _ = yield cas(link_ptr, NULL, fresh, _RELEASE)
             if ok:
                 return True
             # Someone attached a node here first: re-descend.
@@ -106,10 +110,10 @@ class BinarySearchTree(LogFreeStructure):
             node, _link_ptr = yield from self._locate(key)
             if node == NULL:
                 return False
-            alive = yield load(field(node, ALIVE), MemOrder.ACQUIRE)
+            alive = yield load(field(node, ALIVE), _ACQUIRE)
             if alive != 1:
                 return False
-            ok, _ = yield cas(field(node, ALIVE), 1, 0, MemOrder.RELEASE)
+            ok, _ = yield cas(field(node, ALIVE), 1, 0, _RELEASE)
             if ok:
                 return True
             # The alive word changed under us: re-examine.
@@ -118,7 +122,7 @@ class BinarySearchTree(LogFreeStructure):
         node, _link_ptr = yield from self._locate(key)
         if node == NULL:
             return False
-        alive = yield load(field(node, ALIVE), MemOrder.ACQUIRE)
+        alive = yield load(field(node, ALIVE), _ACQUIRE)
         return alive == 1
 
     # ------------------------------------------------------------------
@@ -127,23 +131,36 @@ class BinarySearchTree(LogFreeStructure):
 
     def build_initial(self, keys: Iterable[int],
                       memory: Dict[int, Word]) -> None:
+        """The subtree over ``keys[lo:hi]`` is rooted at ``keys[mid]``,
+        ``mid = (lo + hi) // 2``, over the subtrees of ``[lo, mid)``
+        and ``[mid + 1, hi)``. Nodes are laid out in pre-order, so a
+        node's left child is the next chunk and its right child comes
+        ``mid - lo + 1`` chunks after it; one loop with a stack of the
+        pending ranges places every node."""
         sorted_keys = sorted(set(keys))
-        memory[self.root_ptr] = self._build_balanced(sorted_keys, memory)
-
-    def _build_balanced(self, keys: Sequence[int],
-                        memory: Dict[int, Word]) -> int:
-        if not keys:
-            return NULL
-        mid = len(keys) // 2
-        node = self.allocator.alloc(NODE_WORDS + 1, line_align=True) + 8
-        memory[header_addr(node)] = NODE_WORDS
-        memory[field(node, KEY)] = keys[mid]
-        memory[field(node, VALUE)] = keys[mid] + 1
-        memory[field(node, LEFT)] = self._build_balanced(keys[:mid], memory)
-        memory[field(node, RIGHT)] = self._build_balanced(keys[mid + 1:],
-                                                          memory)
-        memory[field(node, ALIVE)] = 1
-        return node
+        raws = self.allocator.alloc_lines(NODE_WORDS + 1, len(sorted_keys))
+        memory[self.root_ptr] = raws[0] + 8 if raws else NULL
+        ranges = [(0, len(sorted_keys))]
+        pop, push = ranges.pop, ranges.append
+        for index, raw in enumerate(raws):
+            node = raw + 8
+            lo, hi = pop()
+            mid = (lo + hi) // 2
+            key = sorted_keys[mid]
+            memory[header_addr(node)] = NODE_WORDS
+            memory[field(node, KEY)] = key
+            memory[field(node, VALUE)] = key + 1
+            memory[field(node, ALIVE)] = 1
+            if mid + 1 < hi:
+                memory[field(node, RIGHT)] = raws[index + mid - lo + 1] + 8
+                push((mid + 1, hi))
+            else:
+                memory[field(node, RIGHT)] = NULL
+            if lo < mid:
+                memory[field(node, LEFT)] = raws[index + 1] + 8
+                push((lo, mid))
+            else:
+                memory[field(node, LEFT)] = NULL
 
     # ------------------------------------------------------------------
     # Recovery validation

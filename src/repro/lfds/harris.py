@@ -38,6 +38,11 @@ from repro.lfds.base import (
 )
 from repro.memory.address import HeapAllocator
 
+# Hot-path aliases: a member access on the Enum class is a metaclass
+# lookup, and the op sites below evaluate these on every step.
+_ACQUIRE = MemOrder.ACQUIRE
+_RELEASE = MemOrder.RELEASE
+
 # Node layout: [key, value, next]
 KEY, VALUE, NEXT = 0, 1, 2
 NODE_WORDS = 3
@@ -69,20 +74,18 @@ class HarrisListOps:
         """
         while True:
             pred_ptr = head_ptr
-            raw = yield load(pred_ptr, MemOrder.ACQUIRE,
-                             site="traverse-head")
+            raw = yield load(pred_ptr, _ACQUIRE, site="traverse-head")
             curr = unmark(raw) if raw is not None else NULL
             restart = False
             while True:
                 if curr == NULL:
                     return pred_ptr, NULL, None
-                nxt = yield load(curr + _NEXT_OFF, MemOrder.ACQUIRE,
+                nxt = yield load(curr + _NEXT_OFF, _ACQUIRE,
                                  site="traverse-next")
                 if is_marked(nxt):
                     # curr is logically deleted: help unlink it.
                     ok, _ = yield cas(pred_ptr, curr, unmark(nxt),
-                                      MemOrder.RELEASE,
-                                      site="help-unlink-cas")
+                                      _RELEASE, site="help-unlink-cas")
                     if not ok:
                         restart = True
                         break
@@ -114,8 +117,7 @@ class HarrisListOps:
             yield store(field(node, KEY), key, site="node-init")
             yield store(field(node, VALUE), value, site="node-init")
             yield store(field(node, NEXT), curr, site="node-init")
-            ok, _ = yield cas(pred_ptr, curr, node, MemOrder.RELEASE,
-                              site="link-cas")
+            ok, _ = yield cas(pred_ptr, curr, node, _RELEASE, site="link-cas")
             if ok:
                 return True
             # Window moved: retry (the unnlinked node is simply leaked,
@@ -127,18 +129,16 @@ class HarrisListOps:
             pred_ptr, curr, curr_key = yield from self.search(head_ptr, key)
             if curr == NULL or curr_key != key:
                 return False
-            nxt = yield load(field(curr, NEXT), MemOrder.ACQUIRE,
-                             site="read-next")
+            nxt = yield load(field(curr, NEXT), _ACQUIRE, site="read-next")
             if is_marked(nxt):
                 continue  # a concurrent delete got here first: retry
             succ = nxt if nxt is not None else NULL
             ok, _ = yield cas(field(curr, NEXT), succ, mark(succ),
-                              MemOrder.RELEASE, site="mark-cas")
+                              _RELEASE, site="mark-cas")
             if not ok:
                 continue
             # Best-effort physical unlink; traversals will help if lost.
-            yield cas(pred_ptr, curr, succ, MemOrder.RELEASE,
-                      site="unlink-cas")
+            yield cas(pred_ptr, curr, succ, _RELEASE, site="unlink-cas")
             # Free the node: the malloc-metadata store of SynchroBench's
             # node reclamation (the chunk belongs to another thread's
             # arena most of the time).
@@ -147,12 +147,10 @@ class HarrisListOps:
 
     def contains(self, head_ptr: int, key: int) -> OpGen:
         """Wait-free membership test."""
-        raw = yield load(head_ptr, MemOrder.ACQUIRE,
-                         site="traverse-head")
+        raw = yield load(head_ptr, _ACQUIRE, site="traverse-head")
         curr = unmark(raw) if raw is not None else NULL
         while curr != NULL:
-            nxt = yield load(curr + _NEXT_OFF, MemOrder.ACQUIRE,
-                             site="traverse-next")
+            nxt = yield load(curr + _NEXT_OFF, _ACQUIRE, site="traverse-next")
             curr_key = yield load(curr + _KEY_OFF,
                                   site="traverse-key")
             if curr_key == key:
@@ -166,29 +164,43 @@ class HarrisListOps:
     # Direct-memory build / inspection (no simulated ops)
     # ------------------------------------------------------------------
 
-    def build_chain(self, head_ptr: int, keys: Iterable[int],
-                    memory: Dict[int, Word], value_of) -> None:
-        """Materialize a sorted chain into ``memory`` at ``head_ptr``.
+    def build_chains(self, head_ptrs: Sequence[int], keys: Iterable[int],
+                     memory: Dict[int, Word]) -> None:
+        """Materialize sorted chains into ``memory``, one per head word.
+
+        Chain ``i`` is rooted at ``head_ptrs[i]`` and holds the keys
+        that hash to it (``key % len(head_ptrs) == i``, as in
+        :meth:`walk`; one head takes every key) in increasing order,
+        each with value ``key + 1``. Nodes are allocated chain by
+        chain, and in key order within a chain.
 
         Initial-build nodes are line-aligned: with the reproduction's
         compressed key space, packing unrelated keys into one line
         would create false sharing that the paper's 64K-1M-node
         structures do not exhibit.
         """
-        sorted_keys = sorted(set(keys))
-        alloc = self.allocator.alloc
-        node_addrs = [
-            alloc(NODE_WORDS + 1, line_align=True) + 8
-            for _ in sorted_keys
-        ]
-        memory[head_ptr] = node_addrs[0] if node_addrs else NULL
-        last = len(node_addrs) - 1
+        chains = len(head_ptrs)
+        order = sorted(set(keys))
+        if chains > 1:
+            # Stable, so each chain's keys stay in increasing order.
+            order.sort(key=chains.__rmod__)
+        raws = self.allocator.alloc_lines(NODE_WORDS + 1, len(order))
+        memory.update(dict.fromkeys(head_ptrs, NULL))
+        chain = -1
         # field()/header_addr() inlined: [header][key][value][next].
-        for i, (key, addr) in enumerate(zip(sorted_keys, node_addrs)):
-            memory[addr - 8] = NODE_WORDS
-            memory[addr] = key
-            memory[addr + 8] = value_of(key)
-            memory[addr + 16] = node_addrs[i + 1] if i < last else NULL
+        # ``link`` is the word the next node links into: its chain's
+        # head word, or its predecessor's next word (NULL until then).
+        for key, raw in zip(order, raws):
+            node = raw + 8
+            if key % chains != chain:
+                chain = key % chains
+                link = head_ptrs[chain]
+            memory[link] = node
+            memory[raw] = NODE_WORDS
+            memory[node] = key
+            memory[node + 8] = key + 1
+            link = node + 16
+            memory[link] = NULL
 
     def walk(self, image: Dict[int, Word], head_ptrs: Sequence[int],
              max_nodes: int, bucket_prefix: bool = False

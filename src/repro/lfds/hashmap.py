@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.lfds.base import (
     KEY_MIN,
     LogFreeStructure,
-    NULL,
     OpGen,
     RecoveryReport,
     Word,
@@ -64,28 +63,21 @@ class HashMap(LogFreeStructure):
     def contains(self, key: int) -> OpGen:
         return self._ops.contains(self.bucket_ptr(key), key)
 
+    def bucket_heads(self) -> range:
+        """The bucket head words, in bucket order."""
+        return range(self.buckets_base,
+                     self.buckets_base + self.num_buckets * self._stride,
+                     self._stride)
+
     def build_initial(self, keys: Iterable[int],
                       memory: Dict[int, Word]) -> None:
-        by_bucket: Dict[int, list] = {}
-        for key in keys:
-            by_bucket.setdefault(key % self.num_buckets, []).append(key)
-        for bucket in range(self.num_buckets):
-            head_ptr = self.buckets_base + bucket * self._stride
-            bucket_keys = by_bucket.get(bucket)
-            if bucket_keys:
-                self._ops.build_chain(head_ptr, bucket_keys, memory,
-                                      value_of=lambda k: k + 1)
-            else:
-                memory[head_ptr] = NULL
+        self._ops.build_chains(self.bucket_heads(), keys, memory)
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
         report = self._campaign_report(image)
         if report is not None:
             return report
-        heads = range(self.buckets_base,
-                      self.buckets_base + self.num_buckets * self._stride,
-                      self._stride)
-        problems, total, live = self._ops.walk(image, heads,
+        problems, total, live = self._ops.walk(image, self.bucket_heads(),
                                                self._max_chain,
                                                bucket_prefix=True)
         return RecoveryReport(structure=self.name, ok=not problems,

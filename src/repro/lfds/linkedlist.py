@@ -44,8 +44,7 @@ class LinkedList(LogFreeStructure):
 
     def build_initial(self, keys: Iterable[int],
                       memory: Dict[int, Word]) -> None:
-        self._ops.build_chain(self.head_ptr, keys, memory,
-                              value_of=lambda k: k + 1)
+        self._ops.build_chains((self.head_ptr,), keys, memory)
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
         problems, count, live = self._ops.walk(image, (self.head_ptr,),

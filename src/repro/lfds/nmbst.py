@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.consistency.events import MemOrder
 from repro.core.thread import cas, load, store
@@ -44,6 +44,11 @@ from repro.lfds.base import (
     header_addr,
 )
 from repro.memory.address import HeapAllocator
+
+# Hot-path aliases: a member access on the Enum class is a metaclass
+# lookup, and the op sites below evaluate these on every step.
+_ACQUIRE = MemOrder.ACQUIRE
+_RELEASE = MemOrder.RELEASE
 
 # Node layout: [key, value, left, right]; a leaf has left == right == NULL.
 KEY, VALUE, LEFT, RIGHT = 0, 1, 2, 3
@@ -110,27 +115,22 @@ class NMTree(LogFreeStructure):
         # Sentinel skeleton: R(INF2) -> (S(INF1), leaf(INF2));
         # S(INF1) -> (leaf(INF0), leaf(INF1)). Every real key routes
         # to S's left subtree.
+        self.R, self.S, leaf_inf0, leaf_inf1, leaf_inf2 = (
+            raw + 8 for raw in allocator.alloc_lines(NODE_WORDS + 1, 5))
         self._skeleton: Dict[int, Word] = {}
-        self.R = self._static_node(INF2, self._skeleton)
-        self.S = self._static_node(INF1, self._skeleton)
-        leaf_inf0 = self._static_node(INF0, self._skeleton)
-        leaf_inf1 = self._static_node(INF1, self._skeleton)
-        leaf_inf2 = self._static_node(INF2, self._skeleton)
-        self._skeleton[field(self.R, LEFT)] = self.S
-        self._skeleton[field(self.R, RIGHT)] = leaf_inf2
-        self._skeleton[field(self.S, LEFT)] = leaf_inf0
-        self._skeleton[field(self.S, RIGHT)] = leaf_inf1
-
-    def _static_node(self, key: int, memory: Dict[int, Word]) -> int:
-        node = self.allocator.alloc(NODE_WORDS + 1, line_align=True) + 8
-        # field()/header_addr() inlined: one call per built node, and
-        # the initial build dominates setup at paper scales.
-        memory[node - 8] = NODE_WORDS
-        memory[node] = key
-        memory[node + 8] = 0
-        memory[node + 16] = NULL
-        memory[node + 24] = NULL
-        return node
+        for node, key, left, right in (
+                (self.R, INF2, self.S, leaf_inf2),
+                (self.S, INF1, leaf_inf0, leaf_inf1),
+                (leaf_inf0, INF0, NULL, NULL),
+                (leaf_inf1, INF1, NULL, NULL),
+                (leaf_inf2, INF2, NULL, NULL)):
+            self._skeleton.update({
+                header_addr(node): NODE_WORDS,
+                field(node, KEY): key,
+                field(node, VALUE): 0,
+                field(node, LEFT): left,
+                field(node, RIGHT): right,
+            })
 
     # ------------------------------------------------------------------
     # Seek (NM Figure 4)
@@ -156,10 +156,9 @@ class NMTree(LogFreeStructure):
             if steps > self._max_nodes:
                 raise RuntimeError("seek exceeded node bound")
             side_off = _LEFT_OFF if key < node_key else _LEFT_OFF + 8
-            child_raw = yield load(node + side_off, MemOrder.ACQUIRE)
+            child_raw = yield load(node + side_off, _ACQUIRE)
             child = addr_of(child_raw)
-            child_left_raw = yield load(child + _LEFT_OFF,
-                                        MemOrder.ACQUIRE)
+            child_left_raw = yield load(child + _LEFT_OFF, _ACQUIRE)
             if addr_of(child_left_raw) == NULL:
                 # child is a leaf: node is its parent.
                 return _SeekRecord(ancestor, successor, node, child)
@@ -203,7 +202,7 @@ class NMTree(LogFreeStructure):
                 yield store(field(internal, RIGHT), new_leaf)
             yield store(field(internal, VALUE), 0)
             ok, observed = yield cas(child_addr, record.leaf, internal,
-                                     MemOrder.RELEASE)
+                                     _RELEASE)
             if ok:
                 return True
             # CAS failed: if the edge still points at our leaf but is
@@ -225,8 +224,7 @@ class NMTree(LogFreeStructure):
                 child_addr = field(record.parent,
                                    LEFT if key < parent_key else RIGHT)
                 ok, observed = yield cas(child_addr, record.leaf,
-                                         record.leaf | FLAG,
-                                         MemOrder.RELEASE)
+                                         record.leaf | FLAG, _RELEASE)
                 if ok:
                     # Injection succeeded: the delete is linearized.
                     injecting = False
@@ -267,27 +265,27 @@ class NMTree(LogFreeStructure):
         else:
             child_addr = field(parent, RIGHT)
             sibling_addr = field(parent, LEFT)
-        child_raw = yield load(child_addr, MemOrder.ACQUIRE)
+        child_raw = yield load(child_addr, _ACQUIRE)
         if not is_flagged(child_raw):
             # The leaf under deletion is on the sibling side (we are
             # helping a delete of the other child).
             sibling_addr = child_addr
         # Tag the sibling edge so it cannot change under the splice.
         while True:
-            sibling_raw = yield load(sibling_addr, MemOrder.ACQUIRE)
+            sibling_raw = yield load(sibling_addr, _ACQUIRE)
             if is_tagged(sibling_raw):
                 break
             ok, _ = yield cas(sibling_addr, sibling_raw,
-                              sibling_raw | TAG, MemOrder.RELEASE)
+                              sibling_raw | TAG, _RELEASE)
             if ok:
                 sibling_raw = sibling_raw | TAG
                 break
         # Splice: swing the ancestor's edge to the sibling (tag
         # cleared, flag preserved so an in-progress delete of the
         # sibling leaf carries over).
-        sibling_raw = yield load(sibling_addr, MemOrder.ACQUIRE)
+        sibling_raw = yield load(sibling_addr, _ACQUIRE)
         ok, _ = yield cas(successor_addr, record.successor,
-                          sibling_raw & ~TAG, MemOrder.RELEASE)
+                          sibling_raw & ~TAG, _RELEASE)
         return ok
 
     def _retire(self, parent: int, leaf: int) -> OpGen:
@@ -306,31 +304,57 @@ class NMTree(LogFreeStructure):
 
     def build_initial(self, keys: Iterable[int],
                       memory: Dict[int, Word]) -> None:
+        """A balanced tree over the sorted keys under S's left edge.
+
+        The subtree over ``leaves[lo:hi]`` is a leaf when it holds one
+        key, and otherwise an internal node routing on ``leaves[mid]``,
+        ``mid = lo + (hi - lo + 1) // 2``, over the subtrees of
+        ``[lo, mid)`` and ``[mid, hi)``. Nodes are laid out in
+        pre-order, so a subtree over ``m`` leaves fills ``2m - 1``
+        consecutive chunks: a node's left child is the next chunk and
+        its right child comes ``2 * (mid - lo)`` chunks after it. One
+        loop places the nodes in that order: an internal node hands on
+        to its left child, and each leaf to the latest right subtree
+        still pending.
+        """
         memory.update(self._skeleton)
-        sorted_keys = sorted(set(keys))
-        if sorted_keys:
-            # The INF0 sentinel leaf stays in S's left subtree forever
-            # (it is never deleted), guaranteeing every real leaf's
-            # parent is an internal node — a delete can then never
-            # splice out the sentinel S itself.
-            subtree = self._build_balanced(sorted_keys + [INF0], memory)
-            memory[field(self.S, LEFT)] = subtree
-
-    def _build_balanced(self, keys: Sequence[int],
-                        memory: Dict[int, Word]) -> int:
-        return self._build_range(keys, 0, len(keys), memory)
-
-    def _build_range(self, keys: Sequence[int], lo: int, hi: int,
-                     memory: Dict[int, Word]) -> int:
-        # Index-based recursion (same node/allocation order as slicing
-        # on keys[lo:hi], without the O(n log n) copying).
-        if hi - lo == 1:
-            return self._static_node(keys[lo], memory)
-        mid = lo + (hi - lo + 1) // 2
-        node = self._static_node(keys[mid], memory)
-        memory[node + 16] = self._build_range(keys, lo, mid, memory)
-        memory[node + 24] = self._build_range(keys, mid, hi, memory)
-        return node
+        leaves = sorted(set(keys))
+        if not leaves:
+            return
+        # The INF0 sentinel leaf stays in S's left subtree forever
+        # (it is never deleted), guaranteeing every real leaf's
+        # parent is an internal node — a delete can then never
+        # splice out the sentinel S itself.
+        leaves.append(INF0)
+        chunks = self.allocator.alloc_lines(NODE_WORDS + 1,
+                                            2 * len(leaves) - 1)
+        stride = chunks.step
+        lo, hi, node = 0, len(leaves), chunks[0] + 8
+        memory[self.S + _LEFT_OFF] = node
+        # Right subtrees still to place: their leaf range and root
+        # address, the one int object both the parent's edge word and
+        # the node's key-word entry hold (the image keeps one per node).
+        pending = []
+        push, pop = pending.append, pending.pop
+        # field()/header_addr() inlined: [header][key][value][left][right].
+        for _ in chunks:
+            memory[node - 8] = NODE_WORDS
+            memory[node + _VALUE_OFF] = 0
+            if hi - lo == 1:
+                memory[node] = leaves[lo]
+                memory[node + _LEFT_OFF] = NULL
+                memory[node + _RIGHT_OFF] = NULL
+                if pending:
+                    lo, hi, node = pop()
+            else:
+                mid = lo + (hi - lo + 1) // 2
+                left = node + stride
+                right = node + 2 * (mid - lo) * stride
+                memory[node] = leaves[mid]
+                memory[node + _LEFT_OFF] = left
+                memory[node + _RIGHT_OFF] = right
+                push((mid, hi, right))
+                hi, node = mid, left
 
     # ------------------------------------------------------------------
     # Recovery validation

@@ -29,6 +29,11 @@ from repro.lfds.base import (
 )
 from repro.memory.address import HeapAllocator
 
+# Hot-path aliases: a member access on the Enum class is a metaclass
+# lookup, and the op sites below evaluate these on every step.
+_ACQUIRE = MemOrder.ACQUIRE
+_RELEASE = MemOrder.RELEASE
+
 # Node layout: [value, next]
 VALUE, NEXT = 0, 1
 NODE_WORDS = 2
@@ -57,38 +62,37 @@ class MichaelScottQueue(LogFreeStructure):
         yield store(field(node, VALUE), value)
         yield store(field(node, NEXT), NULL)
         while True:
-            last = yield load(self.tail_ptr, MemOrder.ACQUIRE)
-            nxt = yield load(field(last, NEXT), MemOrder.ACQUIRE)
-            tail_check = yield load(self.tail_ptr, MemOrder.ACQUIRE)
+            last = yield load(self.tail_ptr, _ACQUIRE)
+            nxt = yield load(field(last, NEXT), _ACQUIRE)
+            tail_check = yield load(self.tail_ptr, _ACQUIRE)
             if last != tail_check:
                 continue
             if nxt == NULL:
-                ok, _ = yield cas(field(last, NEXT), NULL, node,
-                                  MemOrder.RELEASE)
+                ok, _ = yield cas(field(last, NEXT), NULL, node, _RELEASE)
                 if ok:
                     # Swing the tail (best effort; others may help).
-                    yield cas(self.tail_ptr, last, node, MemOrder.RELEASE)
+                    yield cas(self.tail_ptr, last, node, _RELEASE)
                     return True
             else:
                 # Help a lagging enqueuer swing the tail.
-                yield cas(self.tail_ptr, last, nxt, MemOrder.RELEASE)
+                yield cas(self.tail_ptr, last, nxt, _RELEASE)
 
     def dequeue(self) -> OpGen:
         """Returns the dequeued value, or None if the queue is empty."""
         while True:
-            first = yield load(self.head_ptr, MemOrder.ACQUIRE)
-            last = yield load(self.tail_ptr, MemOrder.ACQUIRE)
-            nxt = yield load(field(first, NEXT), MemOrder.ACQUIRE)
-            head_check = yield load(self.head_ptr, MemOrder.ACQUIRE)
+            first = yield load(self.head_ptr, _ACQUIRE)
+            last = yield load(self.tail_ptr, _ACQUIRE)
+            nxt = yield load(field(first, NEXT), _ACQUIRE)
+            head_check = yield load(self.head_ptr, _ACQUIRE)
             if first != head_check:
                 continue
             if first == last:
                 if nxt == NULL:
                     return None
-                yield cas(self.tail_ptr, last, nxt, MemOrder.RELEASE)
+                yield cas(self.tail_ptr, last, nxt, _RELEASE)
                 continue
             value = yield load(field(nxt, VALUE))
-            ok, _ = yield cas(self.head_ptr, first, nxt, MemOrder.RELEASE)
+            ok, _ = yield cas(self.head_ptr, first, nxt, _RELEASE)
             if ok:
                 # The retired sentinel is freed (malloc-metadata store).
                 yield free_header_write(first)
@@ -105,14 +109,14 @@ class MichaelScottQueue(LogFreeStructure):
 
     def contains(self, key: int) -> OpGen:
         """Non-linearizable scan (only used by tests)."""
-        curr = yield load(self.head_ptr, MemOrder.ACQUIRE)
+        curr = yield load(self.head_ptr, _ACQUIRE)
         steps = 0
         while curr != NULL and steps < self._max_nodes:
             steps += 1
             value = yield load(field(curr, VALUE))
             if value == key and steps > 1:   # skip the dummy
                 return True
-            curr = yield load(field(curr, NEXT), MemOrder.ACQUIRE)
+            curr = yield load(field(curr, NEXT), _ACQUIRE)
         return False
 
     # ------------------------------------------------------------------
@@ -121,22 +125,18 @@ class MichaelScottQueue(LogFreeStructure):
 
     def build_initial(self, values: Iterable[int],
                       memory: Dict[int, Word]) -> None:
-        dummy = self.allocator.alloc(NODE_WORDS + 1, line_align=True) + 8
-        self._initial_dummy = dummy
-        memory[header_addr(dummy)] = NODE_WORDS
-        memory[field(dummy, VALUE)] = 0
-        chain: List[int] = [dummy]
-        for value in values:
-            node = self.allocator.alloc(NODE_WORDS + 1,
-                                        line_align=True) + 8
+        """The dummy node, then one node per value in order."""
+        node_values = [0, *values]   # the dummy's value word is 0
+        nodes = [raw + 8 for raw in self.allocator.alloc_lines(
+            NODE_WORDS + 1, len(node_values))]
+        self._initial_dummy = nodes[0]
+        successors = nodes[1:] + [NULL]
+        for node, value, successor in zip(nodes, node_values, successors):
             memory[header_addr(node)] = NODE_WORDS
             memory[field(node, VALUE)] = value
-            chain.append(node)
-        for i, node in enumerate(chain):
-            memory[field(node, NEXT)] = (
-                chain[i + 1] if i + 1 < len(chain) else NULL)
-        memory[self.head_ptr] = dummy
-        memory[self.tail_ptr] = chain[-1]
+            memory[field(node, NEXT)] = successor
+        memory[self.head_ptr] = nodes[0]
+        memory[self.tail_ptr] = nodes[-1]
 
     # ------------------------------------------------------------------
     # Recovery validation

@@ -39,6 +39,11 @@ from repro.lfds.base import (
 )
 from repro.memory.address import WORD_BYTES, HeapAllocator
 
+# Hot-path aliases: a member access on the Enum class is a metaclass
+# lookup, and the op sites below evaluate these on every step.
+_ACQUIRE = MemOrder.ACQUIRE
+_RELEASE = MemOrder.RELEASE
+
 # Node layout: [key, value, level, next_0 .. next_{level-1}]
 KEY, VALUE, LEVEL = 0, 1, 2
 HEADER_WORDS = 3
@@ -117,17 +122,15 @@ class SkipList(LogFreeStructure):
             pred = self.head
             for level in range(self.max_level - 1, -1, -1):
                 next_off = _NEXT_BASE + (level << 3)
-                raw = yield load(pred + next_off, MemOrder.ACQUIRE)
+                raw = yield load(pred + next_off, _ACQUIRE)
                 curr = unmark(raw) if raw is not None else NULL
                 while True:
                     if curr == NULL:
                         break
-                    raw_next = yield load(curr + next_off,
-                                          MemOrder.ACQUIRE)
+                    raw_next = yield load(curr + next_off, _ACQUIRE)
                     if is_marked(raw_next):
                         ok, _ = yield cas(pred + next_off,
-                                          curr, unmark(raw_next),
-                                          MemOrder.RELEASE)
+                                          curr, unmark(raw_next), _RELEASE)
                         if not ok:
                             retry = True
                             break
@@ -168,7 +171,7 @@ class SkipList(LogFreeStructure):
                 yield store(self._next_addr(node, level), succs[level])
             # Level-0 link: the linearization point.
             ok, _ = yield cas(self._next_addr(preds[0], 0), succs[0],
-                              node, MemOrder.RELEASE)
+                              node, _RELEASE)
             if not ok:
                 continue
             yield from self._link_upper_levels(node, height, preds, succs,
@@ -183,18 +186,17 @@ class SkipList(LogFreeStructure):
             attempts = 0
             while attempts < 3:
                 succ = succs[level]
-                raw_own = yield load(self._next_addr(node, level),
-                                     MemOrder.ACQUIRE)
+                raw_own = yield load(self._next_addr(node, level), _ACQUIRE)
                 if is_marked(raw_own):
                     return None   # node concurrently deleted: stop
                 if raw_own != succ:
                     ok, _ = yield cas(self._next_addr(node, level),
-                                      raw_own, succ, MemOrder.RELEASE)
+                                      raw_own, succ, _RELEASE)
                     if not ok:
                         attempts += 1
                         continue
                 ok, _ = yield cas(self._next_addr(preds[level], level),
-                                  succ, node, MemOrder.RELEASE)
+                                  succ, node, _RELEASE)
                 if ok:
                     break
                 attempts += 1
@@ -216,22 +218,20 @@ class SkipList(LogFreeStructure):
             # Mark the index levels top-down (best effort).
             for level in range(height - 1, 0, -1):
                 while True:
-                    raw = yield load(self._next_addr(node, level),
-                                     MemOrder.ACQUIRE)
+                    raw = yield load(self._next_addr(node, level), _ACQUIRE)
                     if is_marked(raw):
                         break
                     ok, _ = yield cas(self._next_addr(node, level), raw,
-                                      mark(raw), MemOrder.RELEASE)
+                                      mark(raw), _RELEASE)
                     if ok:
                         break
             # Level-0 mark: the linearization point.
             while True:
-                raw = yield load(self._next_addr(node, 0),
-                                 MemOrder.ACQUIRE)
+                raw = yield load(self._next_addr(node, 0), _ACQUIRE)
                 if is_marked(raw):
                     return False  # a concurrent delete won
                 ok, _ = yield cas(self._next_addr(node, 0), raw,
-                                  mark(raw), MemOrder.RELEASE)
+                                  mark(raw), _RELEASE)
                 if ok:
                     yield from self.find(key)  # help the physical unlink
                     # Reclaim the tower (malloc-metadata store).
@@ -243,11 +243,10 @@ class SkipList(LogFreeStructure):
         pred = self.head
         for level in range(self.max_level - 1, -1, -1):
             next_off = _NEXT_BASE + (level << 3)
-            raw = yield load(pred + next_off, MemOrder.ACQUIRE)
+            raw = yield load(pred + next_off, _ACQUIRE)
             curr = unmark(raw) if raw is not None else NULL
             while curr != NULL:
-                raw_next = yield load(curr + next_off,
-                                      MemOrder.ACQUIRE)
+                raw_next = yield load(curr + next_off, _ACQUIRE)
                 curr_key = yield load(curr + _KEY_OFF)
                 if curr_key < key:
                     pred = curr
@@ -264,31 +263,30 @@ class SkipList(LogFreeStructure):
 
     def build_initial(self, keys: Iterable[int],
                       memory: Dict[int, Word]) -> None:
+        """Place every tower in key order, linking each of its levels
+        behind the last tower placed at that level; the last tower of
+        each level ends it with NULL. Towers differ in height, so each
+        takes its own line-aligned chunk as it is placed."""
         memory.update(self.head_initial_memory())
         sorted_keys = sorted(set(keys))
-        nodes = []
-        alloc = self.allocator.alloc
         level_for = self.level_for
+        alloc = self.allocator.alloc
+        last_at_level = [self.head] * self.max_level
         # field()/header_addr()/_next_addr() inlined: the build runs
         # once per node and dominates setup at paper scales.
         for key in sorted_keys:
             height = level_for(key)
-            node = alloc(HEADER_WORDS + height + 1, line_align=True) + 8
-            memory[node - 8] = HEADER_WORDS + height
+            raw = alloc(HEADER_WORDS + height + 1, line_align=True)
+            node = raw + 8
+            memory[raw] = HEADER_WORDS + height
             memory[node] = key
             memory[node + 8] = key + 1
             memory[node + 16] = height
-            nodes.append((node, height))
-        last_at_level = [self.head] * self.max_level
-        for node, height in nodes:
             for level in range(height):
-                off = _NEXT_BASE + (level << 3)
-                memory[last_at_level[level] + off] = node
+                memory[last_at_level[level] + _NEXT_BASE + (level << 3)] = node
                 last_at_level[level] = node
-        setdefault = memory.setdefault
-        for node, height in nodes:
-            for level in range(height):
-                setdefault(node + _NEXT_BASE + (level << 3), NULL)
+        for level, node in enumerate(last_at_level):
+            memory[node + _NEXT_BASE + (level << 3)] = NULL
 
     # ------------------------------------------------------------------
     # Recovery validation

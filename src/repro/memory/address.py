@@ -79,6 +79,35 @@ class HeapAllocator:
                 f"capacity {self._limit - self._base} bytes)")
         return addr
 
+    def alloc_lines(self, num_words: int, count: int) -> range:
+        """Allocate ``count`` chunks of ``num_words`` words, each
+        starting on a fresh cache line, and return their addresses.
+
+        The same addresses and end pointer as ``count`` calls of
+        ``alloc(num_words, line_align=True)``: the chunks sit one
+        stride of whole lines apart, so a range holds them all and a
+        structure builder finds a node's address from its index.
+        Nothing is allocated when ``count`` is 0 or the run does not
+        fit.
+        """
+        if num_words <= 0:
+            raise ValueError("allocation must be at least one word")
+        if count < 0:
+            raise ValueError("chunk count must be non-negative")
+        line = self._line_bytes
+        first = -(-self._next // line) * line   # round up to a line
+        stride = -(-num_words * WORD_BYTES // line) * line
+        chunks = range(first, first + count * stride, stride)
+        if count:
+            end = chunks[-1] + num_words * WORD_BYTES
+            if self._limit is not None and end > self._limit:
+                raise MemoryError(
+                    f"arena exhausted at {chunks[-1]:#x} (base "
+                    f"{self._base:#x}, capacity "
+                    f"{self._limit - self._base} bytes)")
+            self._next = end
+        return chunks
+
     def arena(self, arena_id: int,
               arena_bytes: int = 64 << 20) -> "HeapAllocator":
         """A disjoint per-thread sub-allocator.

@@ -386,15 +386,23 @@ class PersistencyMechanism:
         self._issued[core] = live
         return result
 
-    def _block_if_inflight(self, core: int, line_addr: int,
-                           now: int) -> None:
-        """Eviction of a line whose persist is still in flight: put the
-        directory entry in a transient state blocking requests for the
-        line until the ack (the PutM handling of Section 5.2.3) — so no
-        other thread can consume the value before it is durable."""
-        record = self._inflight_record(core, line_addr, now)
-        if record is not None:
-            self.fabric.block_line_until(line_addr, record.complete_time)
+    def _evict_inflight(self, core: int, record: PersistRecord,
+                        now: int) -> None:
+        """A clean line left ``core``'s L1 with ``record``, its latest
+        persist, in ``_inflight``. If the persist is still in flight,
+        put the directory entry in a transient state blocking requests
+        for the line until the ack (the PutM handling of Section 5.2.3)
+        — so no other thread can consume the value before it is
+        durable; if it has acked, retire the entry.
+
+        The eviction hooks probe ``_inflight`` themselves and call this
+        only on a hit: most clean victims have no entry.
+        """
+        if record.complete_time <= now:
+            del self._inflight[core][record.line_addr]
+        else:
+            self.fabric.block_line_until(record.line_addr,
+                                         record.complete_time)
 
     def _retire_inflight(self, core: int, now: int) -> None:
         """Drop in-flight entries whose ack time has passed."""

@@ -84,7 +84,9 @@ class BBMechanism(PersistencyMechanism):
     def on_evict(self, core: int, line: CacheLine, now: int) -> int:
         """Evicting an open-epoch dirty line persists it on the miss path."""
         if not line.pending_words:
-            self._block_if_inflight(core, line.addr, now)
+            record = self._inflight[core].get(line.addr)
+            if record is not None:
+                self._evict_inflight(core, record, now)
             return 0
         self._open[core].pop(line.addr, None)
         if self.config.bb_pipelined_epochs:

@@ -150,7 +150,9 @@ class LRPMechanism(PersistencyMechanism):
 
     def on_evict(self, core: int, line: CacheLine, now: int) -> int:
         if not line.pending_words:
-            self._block_if_inflight(core, line.addr, now)
+            record = self._inflight[core].get(line.addr)
+            if record is not None:
+                self._evict_inflight(core, record, now)
             return 0
         if self.obs is not None and line.min_epoch is not None:
             self.obs.observe("lrp.epoch_age_at_evict",

@@ -19,17 +19,19 @@ class NOPMechanism(PersistencyMechanism):
     enforces_rp = False
 
     def on_evict(self, core: int, line: CacheLine, now: int) -> int:
-        if self.obs is not None and line.has_pending:
-            self.obs.count("nop.background_writebacks")
-        self._issue_line(core, line, now, trigger="eviction")
+        if line.pending_words:
+            if self.obs is not None:
+                self.obs.count("nop.background_writebacks")
+            self._issue_line(core, line, now, trigger="eviction")
         return 0
 
     def on_downgrade(self, owner: int, line: CacheLine,
                      to_state: MESIState, requester: int, now: int) -> int:
-        if self.obs is not None and line.has_pending:
-            self.obs.count("nop.background_writebacks")
-        self._issue_line(owner, line, now, trigger="downgrade",
-                         edge=(owner, requester))
+        if line.pending_words:
+            if self.obs is not None:
+                self.obs.count("nop.background_writebacks")
+            self._issue_line(owner, line, now, trigger="downgrade",
+                             edge=(owner, requester))
         return 0
 
     def drain(self, now: int) -> int:

@@ -68,7 +68,9 @@ class SBMechanism(PersistencyMechanism):
     def on_evict(self, core: int, line: CacheLine, now: int) -> int:
         """A demand miss displaced a dirty line: persist it, blocking."""
         if not line.pending_words:
-            self._block_if_inflight(core, line.addr, now)
+            record = self._inflight[core].get(line.addr)
+            if record is not None:
+                self._evict_inflight(core, record, now)
             return 0
         self._pending[core].pop(line.addr, None)
         record = self._issue_line(core, line, now, trigger="eviction")

@@ -103,3 +103,36 @@ class TestHeapAllocator:
             for start, end in taken:
                 assert addr >= end or addr + words * WORD_BYTES <= start
             taken.append((addr, addr + words * WORD_BYTES))
+
+    @given(st.integers(0, 7), st.integers(1, 20), st.integers(0, 40),
+           st.sampled_from([32, 64, 128]))
+    def test_alloc_lines_matches_aligned_allocs(self, lead, words, count,
+                                                line_bytes):
+        # One call lays chunks out exactly as one aligned alloc each.
+        batched = HeapAllocator(base=0x4000, line_bytes=line_bytes)
+        single = HeapAllocator(base=0x4000, line_bytes=line_bytes)
+        if lead:
+            batched.alloc(lead)
+            single.alloc(lead)
+        addrs = batched.alloc_lines(words, count)
+        assert list(addrs) == [single.alloc(words, line_align=True)
+                               for _ in range(count)]
+        assert batched.bytes_allocated == single.bytes_allocated
+
+    def test_alloc_lines_rejects_bad_sizes(self):
+        alloc = HeapAllocator(base=0x1000, line_bytes=64)
+        with pytest.raises(ValueError):
+            alloc.alloc_lines(0, 2)
+        with pytest.raises(ValueError):
+            alloc.alloc_lines(2, -1)
+        assert alloc.bytes_allocated == 0
+
+    def test_alloc_lines_exhaustion_allocates_nothing(self):
+        arena = HeapAllocator(base=0x1000, line_bytes=64).arena(
+            0, arena_bytes=256)
+        with pytest.raises(MemoryError):
+            arena.alloc_lines(8, 5)
+        assert arena.bytes_allocated == 0
+        addrs = arena.alloc_lines(8, 4)
+        assert list(addrs) == [addrs[0] + 64 * i for i in range(4)]
+        assert arena.bytes_allocated == 256
