@@ -323,6 +323,22 @@ class TestExperimentsTables:
             assert text.split("/") == [
                 f"{value:.0f}" for value in size_series(mech)], mech
 
+    def test_bb_epoch_sentence(self):
+        # The Figure 5 assessment's BB epoch-ordering numbers.
+        cells = dict(FIG8["hashmap"]["16"],
+                     ack_gated=PINS["bb_epochs"]["ack_gated"])
+        match = re.search(
+            r"LRP beats the ack-gated BB by ([\d.]+)%\s+\(([\d,]+) "
+            r"against ([\d,]+) cycles\) and the pipelined BB by "
+            r"([\d.]+)%\s+\(([\d,]+)\)", doc_section("Figure 5 "))
+        gated, lrp, gated_cycles, pipelined, bb_cycles = match.groups()
+        assert [lrp, gated_cycles, bb_cycles] == [
+            f"{cells[mech]:,}" for mech in ("lrp", "ack_gated", "bb")]
+        assert gated == printed(
+            improvement(cells, "ack_gated", "lrp") * 100, gated)
+        assert pipelined == printed(
+            improvement(cells, "bb", "lrp") * 100, pipelined)
+
     def test_extension_table(self):
         _, rows = doc_table("Extension: ")
         cells = PINS["buffer_class"]
