@@ -8,9 +8,8 @@ interleaving is pinned here by sha256 digest, case by case:
   ``seed/<n>`` — makespan, executed ops, per-core stats, the persist
   log, the final memory image, the outcomes and (with trace recording
   on) every recorded memory event;
-* ``export/...`` and ``interval/...`` — the same run fingerprint plus
-  ``Observer.export()`` (JSON, ``sort_keys``) with metrics and a
-  timeline attached;
+* ``export/...`` — the same run fingerprint plus
+  ``Observer.export()`` (JSON, ``sort_keys``) of a metrics observer;
 * ``observed/...`` — trace and/or provenance collectors, whose export
   carries the Chrome trace events and the provenance chains;
 * ``nudged/...`` — the fuzzer's schedule nudges: none, a rank that
@@ -21,7 +20,10 @@ interleaving is pinned here by sha256 digest, case by case:
 The committed digests (``tests/data/engine_digests.json``) were
 recorded with the per-op heap and min-scan scheduler loops that
 preceded the single batch loop; wherever the batch loop could also
-run a case, it produced the same digests.
+run a case, it produced the same digests. The ``export/`` digests
+were recorded again once the cycle-windowed timeline was retired:
+each earlier export, with its timeline series and counter tracks
+removed, is byte for byte the one pinned now.
 
 Regenerate (only when an execution is meant to change) with::
 
@@ -52,11 +54,9 @@ SMALL_CONFIG = dict(l1_size_bytes=1024, l1_assoc=2,
 
 #: Observer modes of the ``observed/`` cases.
 OBSERVED_MODES = {
-    "trace": dict(interval=None, trace=True),
-    "provenance": dict(interval=None, provenance=True),
-    "trace+provenance": dict(interval=None, trace=True, provenance=True),
-    "trace+provenance+timeline": dict(interval=500, trace=True,
-                                      provenance=True),
+    "trace": dict(trace=True),
+    "provenance": dict(provenance=True),
+    "trace+provenance": dict(trace=True, provenance=True),
 }
 
 #: Schedule nudges (decision index -> rank) of the ``nudged/`` cases.
@@ -125,9 +125,8 @@ def run_digest(structure, mechanism, record, seed=7) -> str:
     return fingerprint(result, record)
 
 
-def export_digest(structure, mechanism, interval=500,
-                  **observer_kwargs) -> str:
-    observer = Observer(timeline_interval=interval, **observer_kwargs)
+def export_digest(structure, mechanism, **observer_kwargs) -> str:
+    observer = Observer(**observer_kwargs)
     result = _simulate(_observed_spec(structure), mechanism,
                        MachineConfig(num_cores=4, **SMALL_CONFIG),
                        observer=observer)
@@ -171,10 +170,6 @@ def cases():
         for mechanism in ALL_MECHANISMS:
             table[f"export/{structure}/{mechanism}"] = partial(
                 export_digest, structure, mechanism)
-    for interval in (None, 1, 7, 100000):
-        for mechanism in ("lrp", "hops"):
-            table[f"interval/{interval}/{mechanism}"] = partial(
-                export_digest, "hashmap", mechanism, interval=interval)
     for mode, kwargs in OBSERVED_MODES.items():
         for mechanism in ALL_MECHANISMS:
             table[f"observed/{mode}/hashmap/{mechanism}"] = partial(
