@@ -11,9 +11,9 @@ help:
 	@echo "make test          - full tier-1 suite (every contract gate)"
 	@echo "make smoke         - fast suite (skips @slow) + provenance pins"
 	@echo "make overhead      - telemetry overhead gate: a paper-scale"
-	@echo "                     cell and the KV service, plain vs"
-	@echo "                     observed (ABBA median <= 15%), makespans"
-	@echo "                     identical; writes no file"
+	@echo "                     metrics cell and the KV service, plain"
+	@echo "                     vs observed (ABBA median <= 15%),"
+	@echo "                     makespans identical; writes no file"
 	@echo "make provenance    - persist-provenance flame + diff demo"
 	@echo "                     (capture/fold/diff into provenance-out/)"
 	@echo "make figures       - regenerate the paper figures (quick scale)"
@@ -39,15 +39,15 @@ test:
 # - the killed-run contract (TestKilledRun in
 #   tests/test_exp_runner.py: a SIGKILLed or Ctrl-C'd figures run
 #   resumes from the result cache, and its pool workers exit with it;
-#   Ctrl-C on a pooled `repro.fuzz` run, as on `figures`, ends in one
-#   stderr line and exit status 130).
+#   Ctrl-C on a pooled `repro.bench` or a serial `repro.fuzz` run, as
+#   on `figures`, ends in one stderr line and exit status 130).
 smoke:
 	$(PYTEST) -q -m "not slow"
 
 # The one timing contract perfbench does not hold: telemetry costs at
 # most 15% (median of ABBA rounds) on a paper-scale hashmap/lrp cell
-# with metrics + timeline and on the KV service with request spans,
-# and never moves a makespan.
+# with metrics and on the KV service with request spans, and never
+# moves a makespan.
 overhead:
 	$(PY) -m repro.obs overhead
 

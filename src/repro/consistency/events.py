@@ -198,12 +198,6 @@ class Trace:
     # Recording
     # ------------------------------------------------------------------
 
-    def _append(self, event: MemoryEvent) -> MemoryEvent:
-        self._count += 1
-        if self.record:
-            self._events.append(event)
-        return event
-
     def record_read(self, thread_id: int, addr: int,
                     order: MemOrder = MemOrder.PLAIN) -> MemoryEvent:
         """Record a load; returns the event (with the observed value)."""

@@ -158,10 +158,6 @@ class HappensBefore:
             return False
         return bool(self.closure[second] >> first & 1)
 
-    def direct_predecessors(self, eid: int) -> Set[int]:
-        """Generating-edge predecessors of event ``eid``."""
-        return set(self._edges[eid])
-
     def predecessors(self, eid: int) -> Set[int]:
         """All transitive hb-predecessors of event ``eid``."""
         bits = self.closure[eid]

@@ -37,10 +37,11 @@ Two extensions ride on the quantum boundary and the per-op dispatch:
   whose generator has finished executes no op, so the same decision
   index is taken again among the remaining threads.
 
-* **Observers.** Metrics, timeline windows and the ``sched.*``
-  counters accumulate in the flat tables of
-  :class:`repro.obs.fastobs.FastObs` and flush into the Observer at run
-  end; request-boundary clocks append straight into the
+* **Observers.** Metrics and the ``sched.*`` counters accumulate in
+  the flat tables of :class:`repro.obs.fastobs.FastObs` and flush into
+  the Observer at run end: the loop tallies only WORK ops, and each
+  thread's cycle split comes from its clock delta at run end.
+  Request-boundary clocks append straight into the
   :class:`repro.obs.spans.SpanTracker` lanes. A trace or provenance
   collector adds one per-op branch: the memory op runs through
   :meth:`Machine.execute`, which names the op's provenance site and
@@ -167,24 +168,8 @@ def _run(scheduler) -> int:
         else:
             sp_lanes = sp_events = None
         fobs = FastObs(obs, config.num_cores, l1s[0]._assoc)
-        fo_interval = fobs.interval
-        fo_ops = fobs.ops
-        fo_mem_ops = fobs.mem_ops
-        fo_cc = fobs.compute_cycles
-        fo_mc = fobs.mem_cycles
         fo_nw = fobs.work_ops
         fo_wl = fobs.work_latency
-        sg_o0 = fobs.seg_ops0
-        sg_n0 = fobs.seg_work0
-        sg_w0 = fobs.seg_latency0
-        sg_c0 = fobs.seg_clock0
-        tl_cw = fobs.tl_compute_window
-        tl_ca = fobs.tl_compute_acc
-        tl_nbc = fobs.tl_compute_nb
-        tl_mw = fobs.tl_mem_window
-        tl_ma = fobs.tl_mem_acc
-        tl_co = fobs.tl_compute_out
-        tl_mo = fobs.tl_mem_out
         # Trace and provenance collectors see every op: its memory
         # access runs through Machine.execute and the op gets a span.
         narrate = obs.trace is not None or obs.provenance is not None
@@ -196,9 +181,6 @@ def _run(scheduler) -> int:
     # The kind the first dispatch test inlines: under narration no read
     # is inlined, so reads fall through to the Machine.execute branch.
     inline_read = None if narrate else _READ
-    # True only inside a boundary-straddling quantum with a timeline
-    # attached; every quantum's telemetry setup re-derives it.
-    fo_heavy = False
     # Also rebinds the machine's own pair, so the narrated branch's
     # Machine.execute feeds this run's FastObs through the same code.
     fast_miss, fast_upgrade = machine.make_fast_path(fastobs=fobs)
@@ -215,22 +197,20 @@ def _run(scheduler) -> int:
         l1 = l1s[t.thread_id]
         tstate.append((t, t.gen, stats_list[t.thread_id], l1, l1._sets,
                        l1.state_codes, l1.lru, l1.lines))
-    # Thread clocks at entry: the per-thread clock *delta* over the
-    # run, together with the op/WORK tallies, yields the cycle split
-    # for the metrics-only telemetry mode (see the run-end derivation).
-    start_clocks = [t.clock for t in threads]
-    # Memory-op counts are never tallied in the loop: CoreStats already
-    # bumps exactly one of reads/writes/rmws once per READ/WRITE/CAS/
-    # XCHG (inline paths above, _do_* entries otherwise), so a thread's
-    # memory-op total over the run is its stats delta against this
-    # snapshot; WORK — the only other kind — tallies its own fo_nw.
+    # Entry snapshots for the telemetry. A thread's clock delta over
+    # the run, together with the op/WORK tallies, yields its cycle
+    # split (see the run-end derivation). Memory-op counts are never
+    # tallied in the loop: CoreStats already bumps exactly one of
+    # reads/writes/rmws once per READ/WRITE/CAS/XCHG (inline paths
+    # below, _do_* entries otherwise), so a thread's memory-op total
+    # over the run is its stats delta against this snapshot; WORK —
+    # the only other kind — tallies its own fo_nw.
     if fobs is not None:
+        start_clocks = [t.clock for t in threads]
         start_mem = [0] * len(threads)
         for t in threads:
             s = stats_list[t.thread_id]
             start_mem[t.thread_id] = s.reads + s.writes + s.rmws
-    # Timeline attached: the only mode with any per-quantum accounting.
-    fo_tl = fobs is not None and fo_interval != 0
 
     # Heap keys are single ints, ``(clock << tshift) | tid``: the
     # packed comparison is exactly the (clock, tid) lexicographic
@@ -281,73 +261,6 @@ def _run(scheduler) -> int:
             # Last thread standing: an unreachable bound erases the
             # yield check from its remaining ops.
             bound = _NEVER
-        if fo_tl:
-            # Quantum accounting is *derived*, not accumulated: op and
-            # memory-op counts come from the CoreStats deltas, WORK
-            # counts/latencies from the WORK branch's own tallies (the
-            # only per-op telemetry cost; a memory op pays nothing).
-            # Every op's pre-advance clock lies in
-            # [clock, bound >> tshift]; when both sit below the compute
-            # register's next boundary tl_nbc[tid] the whole quantum
-            # stays inside the register's window ("light" — the common
-            # case, quanta being much shorter than a window) and merely
-            # extends the thread's open *segment*, at zero cost; its
-            # charges are attributed when the segment closes. Only a
-            # boundary-straddling quantum (fo_heavy) pays segment-close
-            # arithmetic and per-op window tracking. Without a
-            # timeline there is no per-quantum accounting at all:
-            # counts and cycle splits come from the stats/clock deltas
-            # at run end.
-            nb_c = tl_nbc[tid]
-            # _NEVER (last thread, float sentinel) has no shiftable
-            # clock and its quantum is unbounded anyway: heavy path.
-            fo_heavy = (clock >= nb_c or bound is _NEVER
-                        or (bound >> tshift) >= nb_c)
-            if fo_heavy:
-                # Close the open segment: all its ops executed in
-                # the compute register's window, so the whole
-                # cycle split lands there in one step (cc from the
-                # WORK tallies + uniform per-op compute, mc as the
-                # thread's clock advance minus cc).
-                cur_ops = (stats.reads + stats.writes + stats.rmws
-                           - start_mem[tid] + fo_nw[tid])
-                seg_ops = cur_ops - sg_o0[tid]
-                if seg_ops:
-                    cc = fo_wl[tid] - sg_w0[tid] + seg_ops * compute
-                    tl_ca[tid] += cc
-                    seg_mem = seg_ops - (fo_nw[tid] - sg_n0[tid])
-                    if seg_mem:
-                        mc = clock - sg_c0[tid] - cc
-                        w = tl_mw[tid]
-                        if w == tl_cw[tid]:
-                            tl_ma[tid] += mc
-                        else:
-                            # The mem register trails (its window
-                            # is that of the thread's last memory
-                            # op); spill it forward.
-                            if w >= 0:
-                                tl_mo[tid].append((w, tl_ma[tid]))
-                            tl_mw[tid] = tl_cw[tid]
-                            tl_ma[tid] = mc
-                    # Mark the segment closed *now*: the quantum
-                    # may abort before its writeback (StopIteration
-                    # at the top), and a closed segment must not
-                    # close again at run end.
-                    sg_o0[tid] = cur_ops
-                    sg_n0[tid] = fo_nw[tid]
-                    sg_w0[tid] = fo_wl[tid]
-                    sg_c0[tid] = clock
-                cw_c = tl_cw[tid]
-                acc_c = tl_ca[tid]
-                cw_m = tl_mw[tid]
-                acc_m = tl_ma[tid]
-                out_c = tl_co[tid]
-                out_m = tl_mo[tid]
-                # Mem next-boundary local for the per-op window
-                # test (one compare; the division runs only on a
-                # window crossing). -1 (no window yet) maps to
-                # boundary 0 so the first op crosses.
-                nb_m = (cw_m + 1) * fo_interval if cw_m >= 0 else 0
 
         # Resume the coroutine with the result of its last op (None
         # starts a fresh one, as next() would).
@@ -422,7 +335,7 @@ def _run(scheduler) -> int:
                     # WORK is the one op kind whose compute charge is
                     # not uniform, so it is the only one tallied per
                     # op; memory-op counts and charges are derived at
-                    # segment close / run end.
+                    # run end.
                     fo_nw[tid] += 1
                     fo_wl[tid] += latency
                     if sp_lanes is not None and op.site is _SPAN_BOUNDARY:
@@ -510,34 +423,6 @@ def _run(scheduler) -> int:
                             tid, op, line, clock, latency)
                         ev_count = trace._count
 
-            if fo_heavy:
-                # Per-op timeline narration against the *pre-advance*
-                # clock: WORK charges latency+compute to the compute
-                # stream; a memory op charges compute to compute and
-                # the full latency (all mechanism stalls included) to
-                # mem. Zero-valued window touches still create window
-                # entries, exactly like Observer.tick.
-                if kind is _WORK:
-                    value = latency + compute
-                else:
-                    if clock < nb_m:
-                        acc_m += latency
-                    else:
-                        if cw_m >= 0:
-                            out_m.append((cw_m, acc_m))
-                        cw_m = clock // fo_interval
-                        nb_m = (cw_m + 1) * fo_interval
-                        acc_m = latency
-                    value = compute
-                if clock < nb_c:
-                    acc_c += value
-                else:
-                    if cw_c >= 0:
-                        out_c.append((cw_c, acc_c))
-                    cw_c = clock // fo_interval
-                    nb_c = (cw_c + 1) * fo_interval
-                    acc_c = value
-
             clock += latency + compute
             executed += 1
             key = (clock << tshift) | tid
@@ -558,73 +443,25 @@ def _run(scheduler) -> int:
                 nheap -= 1
                 break
 
-        if fo_heavy:
-            # Persist the window registers and start a fresh segment
-            # at this quantum's end state. (Light quanta have no
-            # writeback at all — nor does a StopIteration at the
-            # quantum top, which `continue`s past this block leaving
-            # fo_heavy for the next setup to re-derive.) Cycle counter
-            # totals are recovered from the window sums at flush.
-            tl_cw[tid] = cw_c
-            tl_ca[tid] = acc_c
-            tl_nbc[tid] = (cw_c + 1) * fo_interval \
-                if cw_c >= 0 else 0
-            tl_mw[tid] = cw_m
-            tl_ma[tid] = acc_m
-            sg_o0[tid] = (stats.reads + stats.writes + stats.rmws
-                          - start_mem[tid] + fo_nw[tid])
-            sg_n0[tid] = fo_nw[tid]
-            sg_w0[tid] = fo_wl[tid]
-            sg_c0[tid] = clock
-            fo_heavy = False
-
     trace._count = ev_count
     scheduler._executed_ops = executed
     if fobs is not None:
-        if fo_interval:
-            # Materialize the op counts from the stats deltas and
-            # close every thread's still-open segment (same
-            # attribution as the heavy-quantum close, with the
-            # thread's final clock as the segment end).
-            for t in threads:
-                k = t.thread_id
-                s = stats_list[k]
-                mem = s.reads + s.writes + s.rmws - start_mem[k]
-                n = mem + fo_nw[k]
-                fo_ops[k] = n
-                fo_mem_ops[k] = mem
-                seg_ops = n - sg_o0[k]
-                if seg_ops:
-                    cc = fo_wl[k] - sg_w0[k] + seg_ops * compute
-                    tl_ca[k] += cc
-                    seg_mem = seg_ops - (fo_nw[k] - sg_n0[k])
-                    if seg_mem:
-                        mc = t.clock - sg_c0[k] - cc
-                        w = tl_mw[k]
-                        if w == tl_cw[k]:
-                            tl_ma[k] += mc
-                        else:
-                            if w >= 0:
-                                tl_mo[k].append((w, tl_ma[k]))
-                            tl_mw[k] = tl_cw[k]
-                            tl_ma[k] = mc
-        else:
-            # Metrics-only cycle split, recovered per thread from the
-            # clock delta: every op advanced the clock by
-            # latency + compute, WORK latencies are compute charges
-            # (tallied in fo_wl), everything else is memory latency —
-            # so cc = fo_wl + ops * compute and mc is the rest: the
-            # per-op narration summed, at zero per-op cost.
-            for t in threads:
-                k = t.thread_id
-                s = stats_list[k]
-                mem = s.reads + s.writes + s.rmws - start_mem[k]
-                n = mem + fo_nw[k]
-                fo_ops[k] = n
-                fo_mem_ops[k] = mem
-                if n:
-                    cc = fo_wl[k] + n * compute
-                    fo_cc[k] += cc
-                    fo_mc[k] += t.clock - start_clocks[k] - cc
+        # The cycle split, recovered per thread from the clock delta:
+        # every op advanced the clock by latency + compute, WORK
+        # latencies are compute charges (tallied in fo_wl), everything
+        # else is memory latency — so cc = fo_wl + ops * compute and mc
+        # is the rest: the per-op narration summed, at zero per-op
+        # cost.
+        for t in threads:
+            k = t.thread_id
+            s = stats_list[k]
+            mem = s.reads + s.writes + s.rmws - start_mem[k]
+            n = mem + fo_nw[k]
+            fobs.ops[k] = n
+            fobs.mem_ops[k] = mem
+            if n:
+                cc = fo_wl[k] + n * compute
+                fobs.compute_cycles[k] = cc
+                fobs.mem_cycles[k] = t.clock - start_clocks[k] - cc
         fobs.flush()
     return scheduler.makespan()

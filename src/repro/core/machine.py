@@ -169,16 +169,15 @@ class Machine:
         closures also bump its flat coherence slots:
         ``dir.misses``/``dir.upgrades`` and block-wait accounting,
         post-fill set occupancy, per-event hop counts (which accrue
-        only between distinct tiles) and the ``coh.*`` counts with
-        their timeline ticks (a downgrade before the mechanism's
-        downgrade stall, an eviction after it). The fixed-ratio
-        streams — ``noc.msgs`` (3 per miss + 1 per forwarding
-        downgrade, 2 per upgrade + 1 per invalidating upgrade) and
-        ``l1.fills`` (1 per miss) — are derived from those tallies at
-        :meth:`FastObs.flush` instead of being counted per event. When
-        the observer has a trace collector, the same two points emit
-        the ``downgrade c<owner>`` and ``evict`` instants on the
-        requester's ``core<i>`` track.
+        only between distinct tiles) and the ``coh.*`` counts (a
+        downgrade before the mechanism's downgrade stall, an eviction
+        after it). The fixed-ratio streams — ``noc.msgs`` (3 per miss
+        + 1 per forwarding downgrade, 2 per upgrade + 1 per
+        invalidating upgrade) and ``l1.fills`` (1 per miss) — are
+        derived from those tallies at :meth:`FastObs.flush` instead of
+        being counted per event. When the observer has a trace
+        collector, the same two points emit the ``downgrade c<owner>``
+        and ``evict`` instants on the requester's ``core<i>`` track.
         """
         config = self.config
         fabric = self.fabric
@@ -212,9 +211,6 @@ class Machine:
             fo_coh = fastobs.coh
             fo_occ = fastobs.occupancy
             fo_bw = fastobs.block_wait
-            fo_interval = fastobs.interval
-            fo_tl_dg = fastobs.tl_downgrades
-            fo_tl_ev = fastobs.tl_evictions
             fo_trace = fastobs.observer.trace
             hops_tab = fabric.noc._hop_table
             # Folded per-event hop totals: a plain (unforwarded) miss
@@ -397,9 +393,6 @@ class Machine:
                     fo_coh[S_DG] += 1
                     if dg_had_pending:
                         fo_coh[S_DGD] += 1
-                    if fo_interval:
-                        w = (now + latency) // fo_interval
-                        fo_tl_dg[w] = fo_tl_dg.get(w, 0) + 1
                     if fo_trace is not None:
                         fo_trace.instant(f"core{core}",
                                          f"downgrade c{dg_owner}",
@@ -422,9 +415,6 @@ class Machine:
                     fo_coh[S_EV] += 1
                     if ev_had_pending:
                         fo_coh[S_EVD] += 1
-                    if fo_interval:
-                        w = (now + latency) // fo_interval
-                        fo_tl_ev[w] = fo_tl_ev.get(w, 0) + 1
                     if fo_trace is not None:
                         fo_trace.instant(f"core{core}", "evict",
                                          now + latency, "coherence")

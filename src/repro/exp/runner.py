@@ -69,9 +69,6 @@ class Job:
     # events) back in ``RunSummary.obs``. Never affects timing.
     collect_obs: bool = False
     collect_trace: bool = False
-    # Cycle width of the obs timeline windows; None leaves time-series
-    # sampling off (setting it implies obs collection).
-    timeline_interval: Optional[int] = None
     # Persist provenance (repro.obs.provenance): causal chains per
     # persist/stall, shipped back in ``RunSummary.obs["provenance"]``
     # (implies obs collection; bit-identical like the rest).
@@ -174,13 +171,11 @@ def summarize(result: SimulationResult) -> RunSummary:
 def execute_job(job: Job) -> RunSummary:
     """Run one job to completion (the worker-process entry point)."""
     observer = None
-    if (job.collect_obs or job.collect_trace or job.timeline_interval
-            or job.collect_provenance or job.collect_spans
-            or job.fuzz is not None):
+    if (job.collect_obs or job.collect_trace or job.collect_provenance
+            or job.collect_spans or job.fuzz is not None):
         from repro.obs import Observer
 
         observer = Observer(trace=job.collect_trace,
-                            timeline_interval=job.timeline_interval,
                             provenance=(job.collect_provenance
                                         or job.fuzz is not None),
                             spans=job.collect_spans)

@@ -21,9 +21,9 @@ against the real LFD workloads:
 * :mod:`repro.fuzz.crashpoints` — coverage-weighted crash-prefix
   sampling, biased toward release/downgrade-adjacent persist-log
   indices (where the Figure-1 failure mode lives);
-* :mod:`repro.fuzz.leg` — the in-worker verdict: per-LFD structural
-  null-recovery validators, optional recover-and-continue replay, all
-  fanned out through the :mod:`repro.exp` process-pool runner;
+* :mod:`repro.fuzz.leg` — the per-execution verdict: per-LFD structural
+  null-recovery validators, optional recover-and-continue replay, each
+  execution a :mod:`repro.exp` job;
 * :mod:`repro.fuzz.shrink` — counterexample minimization to a locally
   minimal (nudge set, crash prefix) pair, confirmed against the
   RP consistent-cut checker;
@@ -32,7 +32,7 @@ against the real LFD workloads:
 
 Everything is deterministic: a campaign is a pure function of
 ``(workload, mechanism, seed, budget)`` — corpus, coverage map and
-counterexamples are bit-identical across runs and ``--jobs`` settings.
+counterexamples are bit-identical across runs.
 """
 
 from __future__ import annotations

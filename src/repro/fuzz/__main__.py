@@ -11,11 +11,11 @@ Two modes:
 * ``--replay FILE``: re-derive a saved counterexample's verdict; exit
   0 iff the recorded violation reproduces.
 
-Bad input (a missing or malformed repro file, a budget or job count
-below 1, an unknown mechanism) ends in one ``repro.fuzz: error:``
-line and exit status 1. ``tests/test_fuzz.py`` pins the contract on
-every mechanism, the shrinking, the replay of campaign-written repro
-files, and the campaign's seed determinism.
+Bad input (a missing or malformed repro file, a budget below 1, an
+unknown mechanism) ends in one ``repro.fuzz: error:`` line and exit
+status 1. ``tests/test_fuzz.py`` pins the contract on every
+mechanism, the shrinking, the replay of campaign-written repro files,
+and the campaign's seed determinism.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _print_campaign(result: CampaignResult) -> None:
 def _campaign_main(args) -> int:
     config = CampaignConfig(
         workload=args.workload, mechanism=args.mechanism,
-        seed=args.seed, budget=args.budget, jobs=args.jobs,
+        seed=args.seed, budget=args.budget,
         num_threads=args.threads, initial_size=args.size,
         ops_per_thread=args.ops, crash_samples=args.crash_samples,
         continuation_checks=args.continuation_checks,
@@ -82,9 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="total executions (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=1, metavar="S",
                         help="campaign seed (default: %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: serial; "
-                             "never changes results)")
     parser.add_argument("--threads", type=int, default=4,
                         help="workload threads (default: %(default)s)")
     parser.add_argument("--size", type=int, default=64,

@@ -6,7 +6,7 @@ persist to an on-disk directory — one JSON file per entry, named by
 ``<exec_index>-<digest>`` so a directory listing reads as campaign
 history, plus a ``coverage.json`` with the final global map. All file
 contents are deterministic functions of (seed, budget): bit-identical
-corpora across re-runs and ``--jobs`` settings (pinned by tests).
+corpora across re-runs (pinned by tests).
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ budget)``:
 
 1. execution 0 runs the unperturbed schedule, seeding the corpus and
    measuring the decision-index space the nudges range over;
-2. the remaining budget runs in fixed-size batches fanned out through
-   the :mod:`repro.exp` process-pool runner — mutations are generated
-   *before* each batch from per-execution RNG streams, and summaries
-   are processed in submission order, so ``--jobs`` changes wall time
-   but never a single result;
+2. the remaining budget runs in fixed-size batches of :mod:`repro.exp`
+   jobs, run serially — mutations are generated *before* each batch
+   from per-execution RNG streams, and summaries are processed in
+   submission order;
 3. every execution's coverage is merged into the campaign map; runs
    that earned new features enter the corpus as future mutation
    parents;
@@ -45,9 +44,9 @@ from repro.obs.coverage import CoverageMap
 from repro.persistency import mechanism_by_name
 from repro.workloads.harness import WorkloadSpec
 
-#: Executions per runner batch. Fixed (never derived from ``jobs``):
-#: corpus evolution happens at batch boundaries, so the batch size is
-#: part of the campaign's deterministic definition.
+#: Executions per runner batch. Fixed: corpus evolution happens at
+#: batch boundaries, so the batch size is part of the campaign's
+#: deterministic definition.
 BATCH_SIZE = 8
 
 
@@ -59,7 +58,6 @@ class CampaignConfig:
     mechanism: str = "arp"
     seed: int = 1
     budget: int = 48
-    jobs: int = 1
     num_threads: int = 4
     initial_size: int = 64
     ops_per_thread: int = 8
@@ -164,7 +162,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     structure_by_name(config.workload)
     start = time.perf_counter()
     progress = ProgressReporter() if config.verbose else NullProgress()
-    runner = ExperimentRunner(jobs=config.jobs, progress=progress)
+    runner = ExperimentRunner(progress=progress)
 
     coverage = CoverageMap()
     corpus = Corpus()

@@ -1,9 +1,8 @@
-"""The in-worker fuzzing leg: coverage harvest + crash-point verdicts.
+"""The per-execution fuzzing leg: coverage harvest + crash-point verdicts.
 
 ``repro.exp.runner.execute_job`` calls :func:`run_fuzz_leg` for any
-job carrying a :class:`FuzzLegSpec`; everything here runs inside the
-worker process, next to the freshly simulated run, and returns a
-plain-dict payload small enough to ship back through the process pool
+job carrying a :class:`FuzzLegSpec`; everything here runs next to the
+freshly simulated run and returns a small plain-dict payload
 (``RunSummary.fuzz``).
 
 Verdict oracles, in escalating strength:
@@ -22,7 +21,7 @@ Verdict oracles, in escalating strength:
 
 The engine later confirms shrunk counterexamples against the RP
 consistent-cut checker (:mod:`repro.persistency.checker`), which needs
-the retained event trace and therefore stays out of the hot worker.
+the retained event trace and therefore stays out of this leg.
 """
 
 from __future__ import annotations

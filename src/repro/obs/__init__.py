@@ -1,6 +1,6 @@
 """``repro.obs`` — observability for the simulator.
 
-The subsystem has three layers:
+The subsystem has these layers:
 
 * an :class:`Observer` instrumentation hub that the machine, scheduler,
   coherence fabric and persistency mechanisms feed through guarded
@@ -9,10 +9,6 @@ The subsystem has three layers:
 * a :class:`~repro.obs.metrics.MetricsRegistry` of counters/histograms
   that serializes into :class:`~repro.exp.runner.RunSummary` and thus
   travels through worker processes and the result cache for free;
-* a :class:`~repro.obs.timeline.TimelineSampler` (opt-in via
-  ``timeline_interval``) that attributes the same quantities to fixed
-  cycle windows — the time axis behind ``python -m repro.obs
-  timeline`` and the Chrome counter tracks;
 * a :class:`~repro.obs.provenance.ProvenanceTracker` (opt-in via
   ``provenance=True``) that records the causal chain behind every
   persist and stall — trigger event, hb-edge, dirtying site — feeding
@@ -23,11 +19,10 @@ The subsystem has three layers:
   (:mod:`repro.obs.report`) that splits a run's makespan into
   compute / coherence / persist-stall segments.
 
-``python -m repro.obs`` exposes ``trace`` / ``report`` / ``timeline``
-/ ``audit`` / ``flame`` / ``diff`` / ``provenance`` / ``slo`` /
-``overhead`` subcommands; the ``repro.bench.figures`` CLI collects
-the same data behind ``--obs`` / ``--trace-out`` /
-``--provenance-out``.
+``python -m repro.obs`` exposes ``trace`` / ``report`` / ``audit`` /
+``flame`` / ``diff`` / ``provenance`` / ``slo`` / ``overhead``
+subcommands; the ``repro.bench.figures`` CLI collects the same data
+behind ``--obs`` / ``--trace-out`` / ``--provenance-out``.
 """
 
 from __future__ import annotations
@@ -38,11 +33,6 @@ from repro.obs.coverage import CoverageMap, coverage_from_obs
 from repro.obs.metrics import Histogram, MetricsRegistry, merged_registries
 from repro.obs.provenance import ProvenanceTracker
 from repro.obs.spans import REQUEST_BOUNDARY, SpanTracker
-from repro.obs.timeline import (
-    TimelineSampler,
-    chrome_counter_events,
-    merged_timelines,
-)
 from repro.obs.trace import TraceCollector, write_chrome_trace
 
 __all__ = [
@@ -54,10 +44,8 @@ __all__ = [
     "ProvenanceTracker",
     "REQUEST_BOUNDARY",
     "SpanTracker",
-    "TimelineSampler",
     "TraceCollector",
     "merged_registries",
-    "merged_timelines",
     "write_chrome_trace",
 ]
 
@@ -73,18 +61,14 @@ class Observer:
     ``tests/test_obs.py``).
     """
 
-    __slots__ = ("metrics", "trace", "timeline", "provenance", "spans")
+    __slots__ = ("metrics", "trace", "provenance", "spans")
 
     def __init__(self, *, trace: bool = False,
-                 timeline_interval: Optional[int] = None,
                  provenance: bool = False,
                  spans: bool = False) -> None:
         self.metrics = MetricsRegistry()
         self.trace: Optional[TraceCollector] = (
             TraceCollector() if trace else None)
-        self.timeline: Optional[TimelineSampler] = (
-            TimelineSampler(timeline_interval)
-            if timeline_interval is not None else None)
         self.provenance: Optional[ProvenanceTracker] = (
             ProvenanceTracker() if provenance else None)
         # Request spans (repro.obs.spans): boundary clocks of service
@@ -102,16 +86,6 @@ class Observer:
     def observe(self, name: str, value: int) -> None:
         self.metrics.observe(name, value)
 
-    # -- timeline (no-ops unless a sampling interval was requested) ----
-
-    def tick(self, name: str, ts: int, value: int = 1) -> None:
-        if self.timeline is not None:
-            self.timeline.tick(name, ts, value)
-
-    def gauge(self, name: str, ts: int, value: int) -> None:
-        if self.timeline is not None:
-            self.timeline.gauge(name, ts, value)
-
     # -- tracing (no-ops unless trace collection was requested) --------
 
     def span(self, track: str, name: str, ts: int, dur: int,
@@ -127,19 +101,13 @@ class Observer:
     # -- export --------------------------------------------------------
 
     def export(self) -> Dict[str, object]:
-        """Picklable dump: metrics always, timeline series and trace
-        events when collected. With both a trace and a timeline, the
-        timeline additionally rides in the trace as counter tracks."""
+        """Picklable dump: metrics always; provenance, request spans and
+        trace events when collected."""
         data: Dict[str, object] = {"metrics": self.metrics.to_dict()}
-        if self.timeline is not None:
-            data["timeline"] = self.timeline.to_dict()
         if self.provenance is not None:
             data["provenance"] = self.provenance.to_dict()
         if self.spans is not None:
             data["spans"] = self.spans.to_dict()
         if self.trace is not None:
-            events = self.trace.chrome_events()
-            if self.timeline is not None:
-                events = events + chrome_counter_events(self.timeline)
-            data["trace_events"] = events
+            data["trace_events"] = self.trace.chrome_events()
         return data

@@ -7,10 +7,6 @@ Subcommands:
 * ``report`` — run one workload under several mechanisms and print the
   critical-path attribution report (the textual explanation of the
   paper's Figures 5-8: where each mechanism's makespan goes);
-* ``timeline`` — run with cycle-windowed sampling and render the
-  per-window compute/coherence/stall shares, queue depths and NVM
-  bandwidth as ASCII sparklines (``--csv`` for the raw series,
-  ``--trace-out`` for Perfetto counter tracks);
 * ``audit`` — re-verify the persist order and consistent-cut
   guarantees of a finished run against the RP model (zero violations
   expected for the enforcing mechanisms, nonzero for nop/ARP);
@@ -30,15 +26,14 @@ Subcommands:
   a Chrome trace (``--trace-out``) and the JSON payload
   (``--json-out``);
 * ``overhead`` — gate the telemetry's cost: a paper-scale hashmap/lrp
-  cell with metrics and a timeline, and the KV service with request
-  spans, each timed plain against observed in ABBA rounds. Exits 1
-  when either median overhead exceeds 15% or a makespan moves; writes
-  no file.
+  cell with metrics, and the KV service with request spans, each
+  timed plain against observed in ABBA rounds. Exits 1 when either
+  median overhead exceeds 15% or a makespan moves; writes no file.
 
 What these tools must never do (perturb a run, or report numbers that
 do not reconcile with ``RunStats``) is pinned by the tier-1 tests:
-``tests/test_obs.py``, ``test_timeline.py``, ``test_provenance.py``,
-``test_kvservice.py`` and ``test_slo.py``.
+``tests/test_obs.py``, ``test_provenance.py``, ``test_kvservice.py``
+and ``test_slo.py``.
 
 CLI failures (unknown mechanism, unwritable output path, export
 without the requested data) exit 1 with a one-line diagnostic; missing
@@ -57,11 +52,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.common.params import MachineConfig, NVMMode
 from repro.core.simulator import SimulationResult, simulate
-from repro.obs import (
-    Observer,
-    TimelineSampler,
-    write_chrome_trace,
-)
+from repro.obs import Observer, write_chrome_trace
 from repro.obs import diff as diff_mod
 from repro.obs import flame
 from repro.obs import slo
@@ -69,8 +60,6 @@ from repro.obs.report import (
     attribute_run,
     render_attribution,
 )
-from repro.obs.timeline import render_timeline, sparkline, \
-    write_timeline_csv
 from repro.workloads.harness import WorkloadSpec
 from repro.workloads.kvservice import KVServiceSpec
 
@@ -81,8 +70,8 @@ REPORT_MECHANISMS = ("nop", "sb", "bb", "lrp")
 #: against the eager blocking baselines.
 KV_MECHANISMS = ("lrp", "bb", "sb")
 
-#: Window width (cycles) used when the user does not pass --interval.
-DEFAULT_TIMELINE_INTERVAL = 1000
+#: Sparkline window width (cycles) of ``slo`` without --interval.
+DEFAULT_SLO_INTERVAL = 1000
 
 #: Highest median telemetry overhead, in percent, ``overhead`` accepts.
 OVERHEAD_LIMIT_PCT = 15.0
@@ -114,12 +103,9 @@ def _config_from_args(args: argparse.Namespace) -> MachineConfig:
 
 
 def _observed_run(spec: WorkloadSpec, mechanism: str,
-                  config: MachineConfig, *, trace: bool,
-                  timeline_interval: Optional[int] = None,
-                  provenance: bool = False
+                  config: MachineConfig, *, trace: bool
                   ) -> Tuple[SimulationResult, Observer]:
-    observer = Observer(trace=trace, timeline_interval=timeline_interval,
-                        provenance=provenance)
+    observer = Observer(trace=trace)
     result = simulate(spec, mechanism, config, observer=observer)
     return result, observer
 
@@ -181,52 +167,6 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{spec.num_threads} threads, "
               f"{spec.ops_per_thread} ops/thread "
               f"({config.nvm_mode.value} NVM)"))
-    return 0
-
-
-def cmd_timeline(args: argparse.Namespace) -> int:
-    if args.from_export:
-        with open(args.from_export) as handle:
-            document = json.load(handle)
-        timeline_data = document.get("timeline")
-        if timeline_data is None:
-            raise ValueError(
-                f"{args.from_export}: export carries no timeline series "
-                f"(re-run with a timeline interval, e.g. "
-                f"'python -m repro.obs timeline --export-out ...')")
-        sampler = TimelineSampler.from_dict(timeline_data)
-        title = f"Timeline re-rendered from {args.from_export}"
-    else:
-        spec = _spec_from_args(args)
-        config = _config_from_args(args)
-        result, observer = _observed_run(
-            spec, args.mechanism, config,
-            trace=args.trace_out is not None,
-            timeline_interval=args.interval)
-        sampler = observer.timeline
-        assert sampler is not None
-        title = (f"Timeline: {spec.structure}/{args.mechanism}, "
-                 f"{spec.num_threads} threads, "
-                 f"makespan {result.makespan} cycles")
-        if args.export_out:
-            _ensure_parent(args.export_out)
-            with open(args.export_out, "w") as handle:
-                json.dump(observer.export(), handle)
-            print(f"wrote observer export to {args.export_out}")
-        if args.trace_out:
-            # export() appends the counter tracks to the span events.
-            events = observer.export()["trace_events"]
-            _ensure_parent(args.trace_out)
-            write_chrome_trace(events, args.trace_out)
-            print(f"wrote {len(events)} trace events (incl. counter "
-                  f"tracks) to {args.trace_out}")
-    print(render_timeline(sampler, title=title, width=args.width))
-    if args.csv:
-        _ensure_parent(args.csv)
-        with open(args.csv, "w", newline="") as handle:
-            rows = write_timeline_csv(sampler, handle)
-        print(f"wrote {rows} windows x {len(sampler.names())} series "
-              f"to {args.csv}")
     return 0
 
 
@@ -410,9 +350,9 @@ def cmd_slo(args: argparse.Namespace) -> int:
                 for value in slo.latency_p99_series(records,
                                                     args.interval)]
         print(f" {mechanism:5s} completions/{args.interval}cyc  "
-              f"{sparkline(completions, width=args.width)}")
+              f"{slo.sparkline(completions, width=args.width)}")
         print(f" {mechanism:5s} p99 latency/{args.interval}cyc  "
-              f"{sparkline(p99s, width=args.width)}")
+              f"{slo.sparkline(p99s, width=args.width)}")
 
     if args.csv:
         _ensure_parent(args.csv)
@@ -457,10 +397,9 @@ def overhead_cells() -> List[Tuple[str, object, str, MachineConfig,
         figure_spec
 
     return [
-        ("hashmap/lrp paper scale, metrics+timeline",
+        ("hashmap/lrp paper scale, metrics",
          figure_spec("hashmap", num_threads=32, scale="paper", seed=1),
-         "lrp", bench_config(SCALED_CONFIG),
-         lambda: Observer(timeline_interval=DEFAULT_TIMELINE_INTERVAL)),
+         "lrp", bench_config(SCALED_CONFIG), Observer),
         ("kv hashmap/lrp 16x192, spans",
          KVServiceSpec(structure="hashmap", num_threads=16,
                        initial_size=1024, requests_per_thread=192,
@@ -549,31 +488,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                default=list(REPORT_MECHANISMS))
     _add_workload_args(report_parser)
 
-    timeline_parser = subparsers.add_parser(
-        "timeline",
-        help="cycle-windowed telemetry as sparklines / CSV / counters")
-    timeline_parser.add_argument("--mechanism", default="lrp")
-    timeline_parser.add_argument(
-        "--interval", type=int, default=DEFAULT_TIMELINE_INTERVAL,
-        help="window width in cycles (default: %(default)s)")
-    timeline_parser.add_argument(
-        "--width", type=int, default=72,
-        help="sparkline width in characters (default: %(default)s)")
-    timeline_parser.add_argument(
-        "--csv", metavar="FILE",
-        help="also dump every raw series as CSV")
-    timeline_parser.add_argument(
-        "--trace-out", metavar="FILE",
-        help="also export a Chrome trace with counter tracks")
-    timeline_parser.add_argument(
-        "--export-out", metavar="FILE",
-        help="also dump the full observer export as JSON")
-    timeline_parser.add_argument(
-        "--from-export", metavar="FILE",
-        help="re-render the timeline of a saved --export-out file "
-             "instead of running a simulation")
-    _add_workload_args(timeline_parser)
-
     provenance_parser = subparsers.add_parser(
         "provenance",
         help="run with persist-provenance tracking; write the capture")
@@ -649,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="crash prefixes sampled for the lost-request column; "
              "0 disables (default: %(default)s)")
     slo_parser.add_argument(
-        "--interval", type=int, default=DEFAULT_TIMELINE_INTERVAL,
+        "--interval", type=int, default=DEFAULT_SLO_INTERVAL,
         help="sparkline window width in cycles (default: %(default)s)")
     slo_parser.add_argument(
         "--width", type=int, default=72,
@@ -667,7 +581,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overhead_parser = subparsers.add_parser(
         "overhead",
         help="gate the telemetry overhead (at most 15%%) and makespan "
-             "identity on a paper-scale cell and the KV service")
+             "identity on a paper-scale metrics cell and the KV service "
+             "with request spans")
     overhead_parser.add_argument(
         "--rounds", type=int, default=5,
         help="ABBA rounds per cell (plain/observed/observed/plain, one "
@@ -704,8 +619,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_trace(args)
         if args.command == "report":
             return cmd_report(args)
-        if args.command == "timeline":
-            return cmd_timeline(args)
         if args.command == "audit":
             return cmd_audit(args)
         if args.command == "provenance":

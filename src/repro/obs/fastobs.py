@@ -2,13 +2,13 @@
 
 Narrating every memory operation straight into the
 :class:`~repro.obs.Observer` costs two dict upserts per op for the
-``sched.*`` counters plus two timeline ticks, and a handful more per
-coherence miss — exactly the per-op dispatch the batch engine
-(:mod:`repro.core.fastsim`) exists to avoid. :class:`FastObs` is the
-flat-table accumulator it writes instead, with plain list index
-arithmetic — no per-op name hashing, no dict churn, no method
-dispatch (plain lists beat ``array('q')`` here: small-int list stores
-skip the box/unbox round-trip a typed array pays on every ``+= 1``).
+``sched.*`` counters, and a handful more per coherence miss — exactly
+the per-op dispatch the batch engine (:mod:`repro.core.fastsim`)
+exists to avoid. :class:`FastObs` is the flat-table accumulator it
+writes instead, with plain list index arithmetic — no per-op name
+hashing, no dict churn, no method dispatch (plain lists beat
+``array('q')`` here: small-int list stores skip the box/unbox
+round-trip a typed array pays on every ``+= 1``).
 The engine uses it for every observed run, a trace or provenance
 collector included: the machine's miss/upgrade closures
 (:meth:`Machine.make_fast_path`) are bound to the run's FastObs, so
@@ -16,38 +16,34 @@ collector included: the machine's miss/upgrade closures
 inline paths. It holds:
 
 * per-core op/cycle tallies for the scheduler's ``sched.*`` counters
-  and the ``compute.c<i>`` / ``mem.c<i>`` timeline streams (kept as a
-  current-window register per core, flushed to a list only when the
-  window advances);
+  (the engine tallies WORK ops only and derives the rest from each
+  thread's clock and stats deltas at run end);
 * one flat list of slots for the coherence/fabric counters of each
   miss/upgrade (``dir.*``, ``noc.*``, ``l1.fills``, ``coh.*``);
 * value->count tables for the two histograms on the miss path
   (``l1.set_occupancy`` indexed by occupancy, ``dir.block_wait`` as a
-  sparse dict — block waits are rare);
-* sparse window dicts for the rare ``coh.downgrades`` /
-  ``coh.evictions`` timeline ticks.
+  sparse dict — block waits are rare).
 
 :meth:`FastObs.flush` folds everything into the attached Observer
 **additively** (counters add, histograms fold observation-for-
-observation, timeline windows add), so emissions other components made
-directly — the mechanisms, the NVM controller, the directory's
-``dir.lines_blocked`` count — are preserved, and the final
-``Observer.export()`` is counter-for-counter, window-for-window
-identical to per-op narration. tests/test_fastobs.py pins that against
-exports the per-op reference loop recorded, across the full mechanism
-matrix.
+observation), so emissions other components made directly — the
+mechanisms, the NVM controller, the directory's ``dir.lines_blocked``
+count — are preserved, and the final ``Observer.export()`` is
+counter-for-counter identical to per-op narration. tests/test_fastobs.py
+pins that against the golden exports of :mod:`tests.engine_digests`,
+across the full mechanism matrix.
 
 Everything else an Observer sees (persist taxonomy, stall reasons,
-persist-queue depth gauges, RET occupancy, per-channel NVM line
-counts, ``bb.*``/``lrp.*`` engine counters) is emitted by the
-mechanisms and the NVM controller themselves, which stay attached to
-the Observer — those streams need no batching here because they fire
-per *persist event*, not per op.
+persist latency and in-flight histograms, RET occupancy,
+``bb.*``/``lrp.*`` engine counters) is emitted by the mechanisms and
+the NVM controller themselves, which stay attached to the Observer —
+those streams need no batching here because they fire per *persist
+event*, not per op.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.obs.metrics import Histogram
 
@@ -113,23 +109,15 @@ class FastObs:
     """Flat-array telemetry tables for one batch-engine run."""
 
     __slots__ = (
-        "observer", "interval", "num_cores",
+        "observer", "num_cores",
         "ops", "mem_ops", "compute_cycles", "mem_cycles",
         "work_ops", "work_latency",
-        "seg_ops0", "seg_work0", "seg_latency0", "seg_clock0",
         "coh", "occupancy", "block_wait",
-        "tl_compute_window", "tl_compute_acc", "tl_compute_nb",
-        "tl_mem_window", "tl_mem_acc",
-        "tl_compute_out", "tl_mem_out",
-        "tl_downgrades", "tl_evictions",
         "flushed",
     )
 
     def __init__(self, observer, num_cores: int, assoc: int) -> None:
         self.observer = observer
-        timeline = observer.timeline
-        # 0 disables window accumulation everywhere (`if interval:`).
-        self.interval = timeline.interval if timeline is not None else 0
         self.num_cores = num_cores
         # Scheduler accounting: cycle totals plus op counts. The op
         # counts decide counter *existence* — per-op narration
@@ -148,40 +136,11 @@ class FastObs:
         # mem_cycles from exactly that identity at run end.
         self.work_ops = [0] * num_cores
         self.work_latency = [0] * num_cores
-        # Open-segment baselines for the timeline mode: a *segment* is
-        # a run of consecutive quanta of one thread that all fit in
-        # the compute register's current window. The engine closes a
-        # segment (attributing its cycle charges to that window in one
-        # step) only when a boundary-straddling quantum begins or the
-        # run ends; these snapshots of ops / work_ops / work_latency /
-        # thread clock mark where the open segment started.
-        self.seg_ops0 = [0] * num_cores
-        self.seg_work0 = [0] * num_cores
-        self.seg_latency0 = [0] * num_cores
-        self.seg_clock0 = [0] * num_cores
         # Coherence-path counter slots (see SLOT_* above).
         self.coh = [0] * NUM_SLOTS
         # l1.set_occupancy values are post-fill set sizes in [1, assoc].
         self.occupancy = [0] * (assoc + 1)
         self.block_wait: Dict[int, int] = {}
-        # Timeline registers: windows are monotone per core (a thread's
-        # clock never decreases), so one (window, accumulator) register
-        # per stream suffices; it spills to the out list on advance.
-        self.tl_compute_window = [-1] * num_cores
-        self.tl_compute_acc = [0] * num_cores
-        # Next window boundary of the compute register, i.e.
-        # (tl_compute_window + 1) * interval (0 while no window yet):
-        # one compare against it classifies a whole quantum without
-        # any division.
-        self.tl_compute_nb = [0] * num_cores
-        self.tl_mem_window = [-1] * num_cores
-        self.tl_mem_acc = [0] * num_cores
-        self.tl_compute_out: List[List[Tuple[int, int]]] = [
-            [] for _ in range(num_cores)]
-        self.tl_mem_out: List[List[Tuple[int, int]]] = [
-            [] for _ in range(num_cores)]
-        self.tl_downgrades: Dict[int, int] = {}
-        self.tl_evictions: Dict[int, int] = {}
         self.flushed = False
 
     # ------------------------------------------------------------------
@@ -200,25 +159,6 @@ class FastObs:
         self.flushed = True
         metrics = self.observer.metrics
         counters = metrics.counters
-        if self.interval:
-            # With a timeline attached the engine skips the cycle
-            # accumulators: every op's charge lands in exactly one
-            # window, so the counter totals ARE the window sums. Spill
-            # the live registers first, then recover the totals.
-            for core in range(self.num_cores):
-                if self.tl_compute_window[core] >= 0:
-                    self.tl_compute_out[core].append(
-                        (self.tl_compute_window[core],
-                         self.tl_compute_acc[core]))
-                    self.tl_compute_window[core] = -1
-                if self.tl_mem_window[core] >= 0:
-                    self.tl_mem_out[core].append(
-                        (self.tl_mem_window[core], self.tl_mem_acc[core]))
-                    self.tl_mem_window[core] = -1
-                self.compute_cycles[core] = sum(
-                    value for _, value in self.tl_compute_out[core])
-                self.mem_cycles[core] = sum(
-                    value for _, value in self.tl_mem_out[core])
         for core in range(self.num_cores):
             if self.ops[core]:
                 name = f"sched.compute_cycles.c{core}"
@@ -256,39 +196,3 @@ class FastObs:
             if hist is None:
                 hist = metrics.histograms["dir.block_wait"] = Histogram()
             fold_histogram(hist, sorted(self.block_wait.items()))
-
-        timeline = self.observer.timeline
-        if timeline is None:
-            return
-        series_map = timeline.series
-        for core in range(self.num_cores):
-            # Spill the live registers, then fold the out lists.
-            if self.tl_compute_window[core] >= 0:
-                self.tl_compute_out[core].append(
-                    (self.tl_compute_window[core],
-                     self.tl_compute_acc[core]))
-                self.tl_compute_window[core] = -1
-            if self.tl_mem_window[core] >= 0:
-                self.tl_mem_out[core].append(
-                    (self.tl_mem_window[core], self.tl_mem_acc[core]))
-                self.tl_mem_window[core] = -1
-            for name, out in ((f"compute.c{core}", self.tl_compute_out[core]),
-                              (f"mem.c{core}", self.tl_mem_out[core])):
-                if not out:
-                    continue
-                series = series_map.get(name)
-                if series is None:
-                    series = series_map[name] = {}
-                for window, value in out:
-                    series[window] = series.get(window, 0) + value
-                del out[:]
-        for name, windows in (("coh.downgrades", self.tl_downgrades),
-                              ("coh.evictions", self.tl_evictions)):
-            if not windows:
-                continue
-            series = series_map.get(name)
-            if series is None:
-                series = series_map[name] = {}
-            for window, value in windows.items():
-                series[window] = series.get(window, 0) + value
-            windows.clear()

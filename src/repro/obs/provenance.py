@@ -1,11 +1,11 @@
 """Persist provenance: *why* did each line persist, and *who paid*?
 
-The metrics/timeline layers (PR 2/3) say how much time went to persist
-stalls and when; this layer records the **causal chain** behind each
-persist and each stall, which is the paper's actual argument: LRP wins
-because persists are triggered lazily by specific coherence events
-(eviction / downgrade of a released line) instead of eagerly at a
-barrier, so fewer writebacks land on somebody's critical path.
+The metrics layer says how much time went to persist stalls; this
+layer records the **causal chain** behind each persist and each stall,
+which is the paper's actual argument: LRP wins because persists are
+triggered lazily by specific coherence events (eviction / downgrade of
+a released line) instead of eagerly at a barrier, so fewer writebacks
+land on somebody's critical path.
 
 Two record streams, both opt-in via ``Observer(provenance=True)`` and
 bit-identical when enabled (the tracker only reads simulator state):
@@ -181,29 +181,6 @@ class ProvenanceTracker:
         entry = self._by_seq.get(seq)
         if entry is not None:
             entry.critical = True
-
-    # -- aggregation ---------------------------------------------------
-
-    def stall_total(self) -> int:
-        return sum(self.stalls.values())
-
-    def persist_counts_by_site(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.persists:
-            counts[entry.site] = counts.get(entry.site, 0) + 1
-        return counts
-
-    def persist_counts_by_trigger(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.persists:
-            counts[entry.trigger] = counts.get(entry.trigger, 0) + 1
-        return counts
-
-    def stall_cycles_by_site(self) -> Dict[str, int]:
-        cycles: Dict[str, int] = {}
-        for (site, _reason), value in self.stalls.items():
-            cycles[site] = cycles.get(site, 0) + value
-        return cycles
 
     # -- (de)serialization --------------------------------------------
 

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.metrics import Histogram
 
 #: Chrome-trace process id for the request-span track (core/stall/
-#: engine/nvm tracks use 1-4, timeline counters 5).
+#: engine/nvm tracks use 1-4, the catch-all sim process 9).
 REQUEST_PID = 6
 
 #: The percentiles every report carries.
@@ -393,6 +393,35 @@ def latency_p99_series(records: Sequence[RequestRecord],
     for record in records:
         histograms[record.completion // interval].observe(record.latency)
     return [h.quantile(0.99) if h.count else 0.0 for h in histograms]
+
+
+#: Eight-level block characters used by the sparkline renderer.
+SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+
+
+def sparkline(values: Sequence[int], width: int = 72) -> str:
+    """Eight-level block rendering of a series, downsampled to fit.
+
+    Downsampling buckets adjacent windows by *maximum* so short spikes
+    stay visible. An all-zero series renders as a flat baseline.
+    """
+    if not values:
+        return ""
+    if len(values) > width:
+        bucketed: List[int] = []
+        for index in range(width):
+            lo = index * len(values) // width
+            hi = max(lo + 1, (index + 1) * len(values) // width)
+            bucketed.append(max(values[lo:hi]))
+        values = bucketed
+    peak = max(values)
+    if peak <= 0:
+        return SPARK_BLOCKS[0] * len(values)
+    top = len(SPARK_BLOCKS) - 1
+    return "".join(
+        SPARK_BLOCKS[0] if v <= 0
+        else SPARK_BLOCKS[1 + (v * (top - 1)) // peak]
+        for v in values)
 
 
 def write_slo_csv(records: Sequence[RequestRecord], handle) -> int:

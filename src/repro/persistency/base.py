@@ -65,34 +65,15 @@ class PersistencyMechanism:
         # per-stall narration: name building, registry lookups and
         # method dispatch per event are measurable at paper scale (the
         # telemetry gate `python -m repro.obs overhead`), so the hot sites
-        # below write straight into the counter dict / histogram /
-        # window dicts. Histograms and series stay lazily created so
-        # the export carries exactly the entries the plain Observer
-        # API would have created.
+        # below write straight into the counter dict / histograms.
+        # Histograms stay lazily created so the export carries exactly
+        # the entries the plain Observer API would have created.
         if obs is not None:
-            self._pq_names = [f"pqdepth.c{i}"
-                              for i in range(config.num_cores)]
-            self._stall_tick_names = [f"stall.c{i}"
-                                      for i in range(config.num_cores)]
-            self._nvm_tick_names = [
-                f"nvm.lines.ch{ch}"
-                for ch in range(config.num_memory_controllers)]
             self._stall_count_names: Dict[str, str] = {}
             self._obs_counters = obs.metrics.counters
             self._obs_histograms = obs.metrics.histograms
             self._hist_latency: Optional[Histogram] = None
             self._hist_inflight: Optional[Histogram] = None
-            timeline = obs.timeline
-            self._timeline = timeline
-            self._tl_interval = (timeline.interval
-                                 if timeline is not None else 0)
-            # Per-core / per-channel window dicts, bound on first use.
-            self._pq_series: List[Optional[Dict[int, int]]] = (
-                [None] * config.num_cores)
-            self._stall_series: List[Optional[Dict[int, int]]] = (
-                [None] * config.num_cores)
-            self._nvm_series: List[Optional[Dict[int, int]]] = (
-                [None] * config.num_memory_controllers)
 
     # ------------------------------------------------------------------
     # Hooks (override in subclasses). All times are absolute cycles.
@@ -184,8 +165,6 @@ class PersistencyMechanism:
         obs = self.obs
         if obs is not None:
             duration = record.complete_time - record.issue_time
-            channel = self.nvm.channel_for(line.addr)
-            depth = len(self._issued[core])
             counters = self._obs_counters
             counters["persist.lines"] = counters.get("persist.lines",
                                                      0) + 1
@@ -204,30 +183,9 @@ class PersistencyMechanism:
                     hist = self._obs_histograms["persist.inflight"] = \
                         Histogram()
                 self._hist_inflight = hist
-            hist.observe(depth)
-            timeline = self._timeline
-            if timeline is not None:
-                # Inlined gauge (pqdepth window max) + tick (per-
-                # channel line count); both keyed by issue time.
-                window = record.issue_time // self._tl_interval
-                series = self._pq_series[core]
-                if series is None:
-                    name = self._pq_names[core]
-                    series = timeline.gauges.get(name)
-                    if series is None:
-                        series = timeline.gauges[name] = {}
-                    self._pq_series[core] = series
-                if depth > series.get(window, -1):
-                    series[window] = depth
-                series = self._nvm_series[channel]
-                if series is None:
-                    name = self._nvm_tick_names[channel]
-                    series = timeline.series.get(name)
-                    if series is None:
-                        series = timeline.series[name] = {}
-                    self._nvm_series[channel] = series
-                series[window] = series.get(window, 0) + 1
+            hist.observe(len(self._issued[core]))
             if obs.trace is not None:
+                channel = self.nvm.channel_for(line.addr)
                 obs.span(f"nvm-ch{channel}", f"persist c{core}",
                          record.issue_time, duration, cat="persist")
             if obs.provenance is not None:
@@ -325,17 +283,6 @@ class PersistencyMechanism:
                         f"stall.{reason}"
                 counters = self._obs_counters
                 counters[name] = counters.get(name, 0) + stall
-                timeline = self._timeline
-                if timeline is not None:
-                    window = now // self._tl_interval
-                    series = self._stall_series[waiter]
-                    if series is None:
-                        tick_name = self._stall_tick_names[waiter]
-                        series = timeline.series.get(tick_name)
-                        if series is None:
-                            series = timeline.series[tick_name] = {}
-                        self._stall_series[waiter] = series
-                    series[window] = series.get(window, 0) + stall
                 if obs.trace is not None:
                     obs.span(f"stall-c{waiter}", reason, now, stall,
                              cat="stall")
@@ -403,9 +350,3 @@ class PersistencyMechanism:
         else:
             self.fabric.block_line_until(record.line_addr,
                                          record.complete_time)
-
-    def _retire_inflight(self, core: int, now: int) -> None:
-        """Drop in-flight entries whose ack time has passed."""
-        table = self._inflight[core]
-        for addr in [a for a, r in table.items() if r.complete_time <= now]:
-            del table[addr]

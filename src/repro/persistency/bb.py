@@ -173,7 +173,6 @@ class BBMechanism(PersistencyMechanism):
         ack = self._chain_ack(core)
         if self.obs is not None and flushed:
             self.obs.count("bb.epoch_flushes")
-            self.obs.tick(f"bb.epoch_drains.c{core}", now)
             self.obs.span(f"epochs-c{core}", f"epoch {self._epoch[core]}",
                           now, max(0, ack - now), cat="epoch-drain",
                           args={"lines": flushed})

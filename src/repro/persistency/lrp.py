@@ -72,18 +72,12 @@ class LRPMechanism(PersistencyMechanism):
         self.stats_engine_runs = 0
         self.stats_ret_watermark_drains = 0
         self.stats_epoch_wraps = 0
-        # Pre-resolved obs endpoints for the per-release RET narration
+        # Pre-resolved obs endpoint for the per-release RET narration
         # (same scheme as the base class's persist/stall sites — the
-        # watermark check runs on every release, so name building and
-        # registry lookups there are measurable at paper scale).
+        # watermark check runs on every release, so registry lookups
+        # there are measurable at paper scale).
         if self.obs is not None:
-            self._ret_gauge_names = [f"lrp.ret.c{i}"
-                                     for i in range(cores)]
-            self._engine_tick_names = [f"lrp.engine.c{i}"
-                                       for i in range(cores)]
             self._hist_ret_occ: Optional[Histogram] = None
-            self._ret_gauge_series: List[Optional[Dict[int, int]]] = (
-                [None] * cores)
 
     # ------------------------------------------------------------------
     # Stores
@@ -278,7 +272,6 @@ class LRPMechanism(PersistencyMechanism):
             ready = max(ready, record.complete_time)
         if self.obs is not None:
             self.obs.count("lrp.engine_runs")
-            self.obs.tick(self._engine_tick_names[core], now)
             self.obs.observe("lrp.engine_scan_lines", scanned)
             self.obs.observe("lrp.engine_chain_persists", len(records))
             self.obs.span(f"engine-c{core}", "persist-engine", now,
@@ -304,10 +297,9 @@ class LRPMechanism(PersistencyMechanism):
     def _check_watermark(self, core: int, now: int) -> None:
         """RET at watermark: persist the oldest release, off-path."""
         if self.obs is not None:
-            # Inlined observe + gauge against pre-resolved endpoints;
-            # emissions (names, values, lazy creation) are identical
-            # to the plain Observer calls.
-            occupancy = len(self._ret[core])
+            # Inlined observe against a pre-resolved histogram; the
+            # emission (name, value, lazy creation) is identical to
+            # the plain Observer call.
             hist = self._hist_ret_occ
             if hist is None:
                 hist = self._obs_histograms.get("lrp.ret_occupancy")
@@ -315,19 +307,7 @@ class LRPMechanism(PersistencyMechanism):
                     hist = self._obs_histograms["lrp.ret_occupancy"] = \
                         Histogram()
                 self._hist_ret_occ = hist
-            hist.observe(occupancy)
-            timeline = self._timeline
-            if timeline is not None:
-                window = now // self._tl_interval
-                series = self._ret_gauge_series[core]
-                if series is None:
-                    name = self._ret_gauge_names[core]
-                    series = timeline.gauges.get(name)
-                    if series is None:
-                        series = timeline.gauges[name] = {}
-                    self._ret_gauge_series[core] = series
-                if occupancy > series.get(window, -1):
-                    series[window] = occupancy
+            hist.observe(len(self._ret[core]))
         while len(self._ret[core]) >= self.config.ret_watermark:
             self.stats_ret_watermark_drains += 1
             if self.obs is not None:

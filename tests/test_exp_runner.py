@@ -327,7 +327,6 @@ BAD_INPUTS = {
     "fuzz-replay-list": ["repro.fuzz", "--replay", "list.json"],
     "fuzz-replay-no-fields": ["repro.fuzz", "--replay", "fieldless.json"],
     "fuzz-budget-0": ["repro.fuzz", "--budget", "0"],
-    "fuzz-jobs-0": ["repro.fuzz", "--jobs", "0", "--budget", "2"],
     "fuzz-unknown-mechanism": ["repro.fuzz", "--mechanism", "bogus"],
     "fuzz-unknown-workload": ["repro.fuzz", "--workload", "bogus"],
     "figures-jobs-0": ["repro.bench.figures", "--jobs", "0"],
@@ -420,6 +419,41 @@ def _wait_for_pool_ignoring_sigint(proc, workers=2):
         time.sleep(0.05)
 
 
+def _wait_for_cpu_seconds(proc, seconds):
+    """Wait until ``proc`` has used ``seconds`` of CPU time, well past
+    interpreter start-up, so a Ctrl-C now lands inside the CLI."""
+    stat = Path(f"/proc/{proc.pid}/stat")
+    if not stat.exists():
+        pytest.skip("no /proc/<pid>/stat here")
+    ticks = os.sysconf("SC_CLK_TCK")
+    deadline = time.monotonic() + 120
+    while True:
+        assert proc.poll() is None, "exited before it was interrupted"
+        assert time.monotonic() < deadline, "used no CPU time"
+        fields = stat.read_text().rsplit(")", 1)[1].split()
+        if int(fields[11]) + int(fields[12]) >= seconds * ticks:
+            return
+        time.sleep(0.05)
+
+
+def _interrupt(argv, tmp_path, wait):
+    """Run ``python -m argv`` in a session of its own, send Ctrl-C to
+    its process group once ``wait(proc)`` returns; (status, stderr
+    lines)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=str(tmp_path), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        wait(proc)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        _kill_session(proc)
+    return proc.returncode, stderr.decode().splitlines()
+
+
 #: Pooled CLIs besides ``figures``, each a run long enough to be
 #: interrupted inside its pool, and the one stderr line Ctrl-C leaves.
 POOLED_CLIS = {
@@ -427,10 +461,6 @@ POOLED_CLIS = {
                "--no-cache", "--quiet"],
               "repro.bench: interrupted; rerun the same command to "
               "resume from the result cache"),
-    "fuzz": (["repro.fuzz", "--mechanism", "lrp", "--budget", "1000",
-              "--jobs", "2", "--size", "16384", "--ops", "256",
-              "--threads", "8", "--quiet"],
-             "repro.fuzz: interrupted"),
 }
 
 
@@ -489,20 +519,21 @@ class TestKilledRun:
         """Ctrl-C while the runner waits on its pool: exit status 130
         and one line on stderr, as for ``figures``."""
         argv, line = POOLED_CLIS[cli]
-        proc = subprocess.Popen(
-            [sys.executable, "-m", *argv],
-            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-            cwd=str(tmp_path), stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE, start_new_session=True)
-        try:
-            _wait_for_pool_ignoring_sigint(proc)
-            os.killpg(proc.pid, signal.SIGINT)
-            _, stderr = proc.communicate(timeout=60)
-        finally:
-            _kill_session(proc)
-        lines = stderr.decode().splitlines()
-        assert proc.returncode == 130, lines
+        status, lines = _interrupt(argv, tmp_path,
+                                   _wait_for_pool_ignoring_sigint)
+        assert status == 130, lines
         assert lines == [line]
+
+    def test_ctrl_c_on_a_serial_fuzz_run_prints_one_line(self, tmp_path):
+        """Ctrl-C on a ``repro.fuzz`` campaign, which runs its
+        executions in process: exit status 130 and one stderr line."""
+        status, lines = _interrupt(
+            ["repro.fuzz", "--mechanism", "lrp", "--budget", "1000",
+             "--size", "16384", "--ops", "256", "--threads", "8",
+             "--quiet"],
+            tmp_path, lambda proc: _wait_for_cpu_seconds(proc, 1.0))
+        assert status == 130, lines
+        assert lines == ["repro.fuzz: interrupted"]
 
     def test_pool_workers_exit_with_a_killed_parent(self, tmp_path):
         proc = _start_fig5(tmp_path / "cache", tmp_path, "--no-cache")

@@ -84,6 +84,22 @@ class TestNonPerturbation:
         assert len(plain.nvm.persist_log()) == \
             len(observed.nvm.persist_log())
 
+    def test_obs_off_leaves_summary_bare(self):
+        summary = execute_job(Job(spec=tiny_spec(), mechanism="lrp",
+                                  config=tiny_config()))
+        assert summary.obs is None
+
+    @pytest.mark.parametrize("mech", MECHANISMS)
+    def test_summary_carries_the_observer_export(self, mech):
+        """A runner job ships exactly the metrics and provenance an
+        in-process Observer records for the same run."""
+        observer = Observer(provenance=True)
+        simulate(tiny_spec(), mech, tiny_config(), observer=observer)
+        summary = execute_job(Job(spec=tiny_spec(), mechanism=mech,
+                                  config=tiny_config(), collect_obs=True,
+                                  collect_provenance=True))
+        assert summary.obs == observer.export()
+
     def test_obs_summary_identical_except_payload(self):
         job = Job(spec=tiny_spec(), mechanism="lrp", config=tiny_config())
         plain = execute_job(job)
