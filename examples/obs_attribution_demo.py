@@ -36,7 +36,7 @@ def main() -> None:
         observer = Observer(trace=(mechanism == "lrp"))
         result = simulate(spec, mechanism, config, observer=observer)
         attributions.append(
-            attribute_run(result.stats, observer.metrics.counters))
+            attribute_run(result.stats, observer.counters))
         if mechanism == "lrp":
             lrp_observer = observer
 

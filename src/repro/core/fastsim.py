@@ -157,7 +157,7 @@ def _run(scheduler) -> int:
     # Telemetry: aggregates accumulate in FastObs's flat tables (the
     # scheduler streams here, the fused closures write the coherence
     # slots) and flush into the Observer once at run end. Mechanisms
-    # and the NVM controller keep their direct Observer attachment.
+    # and the directory keep their direct Observer attachment.
     obs = machine.obs
     if obs is not None:
         # Request spans (repro.obs.spans): raw per-thread boundary and
@@ -167,7 +167,7 @@ def _run(scheduler) -> int:
             sp_lanes, sp_events = obs.spans.lanes(len(threads))
         else:
             sp_lanes = sp_events = None
-        fobs = FastObs(obs, config.num_cores, l1s[0]._assoc)
+        fobs = FastObs(obs, config.num_cores)
         fo_nw = fobs.work_ops
         fo_wl = fobs.work_latency
         # Trace and provenance collectors see every op: its memory

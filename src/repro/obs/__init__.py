@@ -6,7 +6,7 @@ The subsystem has these layers:
   coherence fabric and persistency mechanisms feed through guarded
   hooks (``if obs is not None: ...`` at every call site, so the
   disabled path costs one attribute load and never perturbs timing);
-* a :class:`~repro.obs.metrics.MetricsRegistry` of counters/histograms
+* a flat dict of named integer counters (:attr:`Observer.counters`)
   that serializes into :class:`~repro.exp.runner.RunSummary` and thus
   travels through worker processes and the result cache for free;
 * a :class:`~repro.obs.provenance.ProvenanceTracker` (opt-in via
@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.obs.coverage import CoverageMap, coverage_from_obs
-from repro.obs.metrics import Histogram, MetricsRegistry, merged_registries
 from repro.obs.provenance import ProvenanceTracker
 from repro.obs.spans import REQUEST_BOUNDARY, SpanTracker
 from repro.obs.trace import TraceCollector, write_chrome_trace
@@ -39,19 +38,16 @@ __all__ = [
     "Observer",
     "CoverageMap",
     "coverage_from_obs",
-    "Histogram",
-    "MetricsRegistry",
     "ProvenanceTracker",
     "REQUEST_BOUNDARY",
     "SpanTracker",
     "TraceCollector",
-    "merged_registries",
     "write_chrome_trace",
 ]
 
 
 class Observer:
-    """Per-run instrumentation hub: metrics plus (optional) tracing.
+    """Per-run instrumentation hub: counters plus (optional) tracing.
 
     Instrumented components hold a reference that is ``None`` when
     observability is off; every hook site guards with
@@ -59,14 +55,22 @@ class Observer:
     Hooks only *read* simulator state — attaching an observer never
     changes latencies, stats or the persist log (pinned by
     ``tests/test_obs.py``).
+
+    ``counters`` is a flat namespace of integers — plain dicts of ints
+    pickle between worker processes and into the result cache, and
+    add up across runs without any schema. Names are dotted paths,
+    most-general first (``persist.lines``, ``stall.inter-thread``,
+    ``lrp.engine_runs``); per-core counters append a ``.c<id>`` leaf
+    (``sched.compute_cycles.c3``) so the attribution report recovers
+    the per-core split with a prefix scan.
     """
 
-    __slots__ = ("metrics", "trace", "provenance", "spans")
+    __slots__ = ("counters", "trace", "provenance", "spans")
 
     def __init__(self, *, trace: bool = False,
                  provenance: bool = False,
                  spans: bool = False) -> None:
-        self.metrics = MetricsRegistry()
+        self.counters: Dict[str, int] = {}
         self.trace: Optional[TraceCollector] = (
             TraceCollector() if trace else None)
         self.provenance: Optional[ProvenanceTracker] = (
@@ -77,14 +81,11 @@ class Observer:
         self.spans: Optional[SpanTracker] = (
             SpanTracker() if spans else None)
 
-    # -- metrics -------------------------------------------------------
+    # -- counters ------------------------------------------------------
 
     def count(self, name: str, value: int = 1) -> None:
-        counters = self.metrics.counters
+        counters = self.counters
         counters[name] = counters.get(name, 0) + value
-
-    def observe(self, name: str, value: int) -> None:
-        self.metrics.observe(name, value)
 
     # -- tracing (no-ops unless trace collection was requested) --------
 
@@ -101,9 +102,10 @@ class Observer:
     # -- export --------------------------------------------------------
 
     def export(self) -> Dict[str, object]:
-        """Picklable dump: metrics always; provenance, request spans and
-        trace events when collected."""
-        data: Dict[str, object] = {"metrics": self.metrics.to_dict()}
+        """Picklable dump: counters always (under ``metrics``);
+        provenance, request spans and trace events when collected."""
+        data: Dict[str, object] = {
+            "metrics": {"counters": dict(sorted(self.counters.items()))}}
         if self.provenance is not None:
             data["provenance"] = self.provenance.to_dict()
         if self.spans is not None:

@@ -28,11 +28,10 @@ full request records from them and computes the service story —
   by the store that did persist. The lag ``durable - completion`` is
   added to the open-loop latency for the durable percentiles — the
   LRP-vs-eager differentiator.
-* **exact streaming percentiles.** :class:`LatencyReservoir` keeps a
-  value -> count map (cycles are small ints), so its nearest-rank
-  quantiles are *exact*, and ``tests/test_slo.py`` reconciles them
-  against sorting the stored per-request records for every mechanism
-  — no approximation to trust.
+* **exact percentiles.** Every percentile, the summary's and each
+  sparkline window's, is the nearest-rank quantile of the sorted
+  per-request values (:func:`exact_quantile`) — no approximation to
+  trust.
 * **crash outcomes.** Crash the finished run at sampled persist-log
   prefixes (:func:`repro.core.recovery.crash_points`), validate null
   recovery, and count the requests that had completed but not yet
@@ -47,9 +46,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.obs.metrics import Histogram
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Chrome-trace process id for the request-span track (core/stall/
 #: engine/nvm tracks use 1-4, the catch-all sim process 9).
@@ -93,77 +90,16 @@ class RequestRecord:
 
 
 # ----------------------------------------------------------------------
-# Exact streaming percentiles
+# Exact percentiles
 # ----------------------------------------------------------------------
 
-class LatencyReservoir:
-    """Exact streaming quantiles over integer cycle latencies.
-
-    A value -> count map: O(1) per observation, mergeable across
-    threads and runs, and — because nothing is dropped — its
-    nearest-rank quantiles equal those of the fully stored sample
-    (pinned by ``tests/test_slo.py`` against the per-request records).
-    """
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self) -> None:
-        self.counts: Dict[int, int] = {}
-        self.total = 0
-
-    def observe(self, value: int) -> None:
-        self.counts[value] = self.counts.get(value, 0) + 1
-        self.total += 1
-
-    def merge(self, other: "LatencyReservoir") -> None:
-        for value, count in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0) + count
-        self.total += other.total
-
-    def quantile(self, q: float) -> int:
-        """Exact nearest-rank quantile (the ceil(q*n)-th smallest)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile q must be in [0, 1], got {q!r}")
-        if self.total == 0:
-            return 0
-        rank = max(1, math.ceil(round(q * self.total, 9)))
-        seen = 0
-        for value in sorted(self.counts):
-            seen += self.counts[value]
-            if seen >= rank:
-                return value
-        raise AssertionError("rank exceeded reservoir population")
-
-    @property
-    def mean(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return sum(v * c for v, c in self.counts.items()) / self.total
-
-    @property
-    def max(self) -> int:
-        return max(self.counts) if self.counts else 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"counts": {str(v): c
-                           for v, c in sorted(self.counts.items())},
-                "total": self.total}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "LatencyReservoir":
-        reservoir = cls()
-        for value, count in data.get("counts", {}).items():  # type: ignore
-            reservoir.counts[int(value)] = int(count)
-        reservoir.total = int(data.get("total", 0))  # type: ignore
-        return reservoir
-
-
 def exact_quantile(values: Sequence[int], q: float) -> int:
-    """Nearest-rank quantile by sorting — the reconciliation oracle."""
-    if not values:
-        return 0
+    """Nearest-rank quantile: the ``ceil(q * n)``-th smallest value
+    (0 for no values)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile q must be in [0, 1], got {q!r}")
+    if not values:
+        return 0
     ordered = sorted(values)
     rank = max(1, math.ceil(round(q * len(ordered), 9)))
     return ordered[rank - 1]
@@ -277,23 +213,23 @@ def slo_summary(records: Sequence[RequestRecord],
     Every value is simulated cycles or a count, so the payloads are
     deterministic; ``tests/data/kv_slo.json`` pins them exactly.
     """
-    latencies = LatencyReservoir()
-    durables = LatencyReservoir()
-    for record in records:
-        latencies.observe(record.latency)
-        durables.observe(record.durable_latency)
+    # Sorted once: exact_quantile's own sort of a sorted list is one
+    # linear pass.
+    latencies = sorted(record.latency for record in records)
+    durables = sorted(record.durable_latency for record in records)
     summary: Dict[str, object] = {
         "requests": len(records),
         "makespan": makespan,
         "throughput_rpkc": round(len(records) / makespan * 1000.0, 4)
         if makespan else 0.0,
-        "latency": {name: latencies.quantile(q)
+        "latency": {name: exact_quantile(latencies, q)
                     for name, q in SLO_QUANTILES},
-        "durable_latency": {name: durables.quantile(q)
+        "durable_latency": {name: exact_quantile(durables, q)
                             for name, q in SLO_QUANTILES},
     }
-    summary["latency"]["mean"] = round(latencies.mean, 2)
-    summary["latency"]["max"] = latencies.max
+    summary["latency"]["mean"] = (
+        round(sum(latencies) / len(latencies), 2) if latencies else 0.0)
+    summary["latency"]["max"] = latencies[-1] if latencies else 0
     summary["durable_latency"]["max_lag"] = max(
         (r.durable_lag for r in records), default=0)
     return summary
@@ -377,22 +313,18 @@ def completion_series(records: Sequence[RequestRecord],
 
 
 def latency_p99_series(records: Sequence[RequestRecord],
-                       interval: int) -> List[float]:
-    """Windowed p99 open-loop latency (Histogram-interpolated).
-
-    Uses :meth:`Histogram.quantile` — bucketed interpolation is plenty
-    for a sparkline, and it exercises the same histogram machinery
-    every other consumer uses.
-    """
+                       interval: int) -> List[int]:
+    """Nearest-rank p99 open-loop latency of the requests completed in
+    each ``interval``-cycle window (0 for an empty window)."""
     if interval <= 0:
         raise ValueError("interval must be positive")
     if not records:
         return []
     last = max(r.completion for r in records)
-    histograms = [Histogram() for _ in range(last // interval + 1)]
+    windows: List[List[int]] = [[] for _ in range(last // interval + 1)]
     for record in records:
-        histograms[record.completion // interval].observe(record.latency)
-    return [h.quantile(0.99) if h.count else 0.0 for h in histograms]
+        windows[record.completion // interval].append(record.latency)
+    return [exact_quantile(window, 0.99) for window in windows]
 
 
 #: Eight-level block characters used by the sparkline renderer.
@@ -468,11 +400,3 @@ def chrome_request_events(records: Sequence[RequestRecord]
         })
     return events
 
-
-def merged_reservoirs(dicts: Iterable[Dict[str, object]]
-                      ) -> LatencyReservoir:
-    """Merge serialized reservoirs (sweep-level aggregation)."""
-    result = LatencyReservoir()
-    for data in dicts:
-        result.merge(LatencyReservoir.from_dict(data))
-    return result

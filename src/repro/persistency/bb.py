@@ -131,7 +131,6 @@ class BBMechanism(PersistencyMechanism):
         self.stats[core].barrier_count += 1
         if self.obs is not None:
             self.obs.count("bb.barriers")
-            self.obs.observe("bb.epoch_lines", len(self._open[core]))
         epoch_ack = self._flush_open(core, now)
         self._epoch[core] += 1
         acks = self._epoch_acks[core]

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.coherence.l1cache import CacheLine, MESIState
 from repro.consistency.events import MemoryEvent
 from repro.memory.nvm import PersistRecord
-from repro.obs import Histogram
 from repro.persistency.base import PersistencyMechanism
 
 
@@ -72,12 +71,6 @@ class LRPMechanism(PersistencyMechanism):
         self.stats_engine_runs = 0
         self.stats_ret_watermark_drains = 0
         self.stats_epoch_wraps = 0
-        # Pre-resolved obs endpoint for the per-release RET narration
-        # (same scheme as the base class's persist/stall sites — the
-        # watermark check runs on every release, so registry lookups
-        # there are measurable at paper scale).
-        if self.obs is not None:
-            self._hist_ret_occ: Optional[Histogram] = None
 
     # ------------------------------------------------------------------
     # Stores
@@ -148,9 +141,6 @@ class LRPMechanism(PersistencyMechanism):
             if record is not None:
                 self._evict_inflight(core, record, now)
             return 0
-        if self.obs is not None and line.min_epoch is not None:
-            self.obs.observe("lrp.epoch_age_at_evict",
-                             self._epoch[core] - line.min_epoch)
         if line.release_bit:  # is_released, pending known truthy
             # I1: run the persist engine, off the critical path; the
             # directory blocks the line until its persist acks (the
@@ -225,7 +215,6 @@ class LRPMechanism(PersistencyMechanism):
             raise ValueError("persist-engine trigger must hold a release")
         pending = self._pending[core]
         pending.pop(trigger.addr, None)
-        scanned = len(pending)
 
         writes_tail: Optional[PersistRecord] = None
         records: List[PersistRecord] = []
@@ -272,8 +261,6 @@ class LRPMechanism(PersistencyMechanism):
             ready = max(ready, record.complete_time)
         if self.obs is not None:
             self.obs.count("lrp.engine_runs")
-            self.obs.observe("lrp.engine_scan_lines", scanned)
-            self.obs.observe("lrp.engine_chain_persists", len(records))
             self.obs.span(f"engine-c{core}", "persist-engine", now,
                           max(0, ready - now), cat="epoch-drain",
                           args={"persists": len(records)})
@@ -296,18 +283,6 @@ class LRPMechanism(PersistencyMechanism):
 
     def _check_watermark(self, core: int, now: int) -> None:
         """RET at watermark: persist the oldest release, off-path."""
-        if self.obs is not None:
-            # Inlined observe against a pre-resolved histogram; the
-            # emission (name, value, lazy creation) is identical to
-            # the plain Observer call.
-            hist = self._hist_ret_occ
-            if hist is None:
-                hist = self._obs_histograms.get("lrp.ret_occupancy")
-                if hist is None:
-                    hist = self._obs_histograms["lrp.ret_occupancy"] = \
-                        Histogram()
-                self._hist_ret_occ = hist
-            hist.observe(len(self._ret[core]))
         while len(self._ret[core]) >= self.config.ret_watermark:
             self.stats_ret_watermark_drains += 1
             if self.obs is not None:

@@ -115,7 +115,6 @@ class SBMechanism(PersistencyMechanism):
         self.stats[core].barrier_count += 1
         if self.obs is not None:
             self.obs.count("sb.barriers")
-            self.obs.observe("sb.barrier_lines", len(self._pending[core]))
         records = list(self._issue_lines(
             core, list(self._pending[core].values()), now, trigger=trigger))
         self._pending[core].clear()

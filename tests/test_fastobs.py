@@ -12,9 +12,8 @@ the contract that makes that safe:
   equal to the committed ``BENCH_figures.json`` with telemetry on;
 * trace and provenance collectors run on the same loop and see every
   op;
-* the merge arithmetic FastObs leans on — histogram folding including
-  the ``clamped`` tally, and an additive, idempotent flush — cannot be
-  told apart from streaming observation.
+* the flush is additive and idempotent, so it cannot be told apart
+  from per-op narration.
 """
 
 import json
@@ -25,8 +24,6 @@ import pytest
 from repro.common.params import MachineConfig
 from repro.core.simulator import clear_setup_cache, simulate
 from repro.obs import Observer
-from repro.obs.fastobs import fold_histogram
-from repro.obs.metrics import Histogram
 from repro.workloads.harness import WorkloadSpec
 from tests import engine_digests, figure_pins
 
@@ -35,8 +32,7 @@ ALL_STRUCTURES = ("linkedlist", "hashmap", "bstree", "skiplist", "queue")
 
 #: Tiny but adversarial: 2-way 1KB L1s force constant misses,
 #: evictions, upgrades and cross-core downgrades, so every FastObs
-#: table (coherence slots, occupancy/block-wait histograms) sees
-#: traffic.
+#: coherence slot sees traffic.
 SMALL_CONFIG = dict(num_cores=4, l1_size_bytes=1024, l1_assoc=2,
                     num_memory_controllers=2, compute_cycles_per_op=2)
 
@@ -108,7 +104,7 @@ def test_metrics_observer_takes_fast_path():
     derives, for every core that ran."""
     observer = Observer()
     _run(observer)
-    counters = observer.metrics.counters
+    counters = observer.counters
     for core in range(4):
         assert counters[f"sched.compute_cycles.c{core}"] > 0
         assert counters[f"sched.mem_cycles.c{core}"] > 0
@@ -150,42 +146,8 @@ def test_run_summary_reports_no_fallback():
 
 
 # ----------------------------------------------------------------------
-# Merge arithmetic: histogram folding and the flush
+# The flush
 # ----------------------------------------------------------------------
-
-def test_fold_histogram_matches_streaming():
-    """Batched (value, count) folding == calling observe() count times,
-    including min/max/total/bucket state."""
-    values = [1, 1, 2, 3, 5, 8, 13, 21, 0, 7, 7, 7]
-    streamed = Histogram()
-    for value in values:
-        streamed.observe(value)
-    pairs = {}
-    for value in values:
-        pairs[value] = pairs.get(value, 0) + 1
-    folded = Histogram()
-    fold_histogram(folded, sorted(pairs.items()))
-    assert folded.to_dict() == streamed.to_dict()
-
-
-def test_fold_histogram_propagates_clamped():
-    """Negative observations keep their clamped tally through a fold."""
-    streamed = Histogram()
-    for value in (-3, -3, 4, -1, 9):
-        streamed.observe(value)
-    folded = Histogram()
-    fold_histogram(folded, [(-3, 2), (-1, 1), (4, 1), (9, 1)])
-    assert folded.clamped == streamed.clamped == 3
-    assert folded.to_dict() == streamed.to_dict()
-
-
-def test_fold_histogram_skips_zero_counts():
-    hist = Histogram()
-    fold_histogram(hist, [(5, 0), (7, 0)])
-    assert hist.count == 0
-    assert hist.min is None and hist.max is None
-    assert not hist.buckets
-
 
 def test_flush_is_idempotent_and_additive():
     """A defensive double flush cannot double-count, and counters other
@@ -193,15 +155,15 @@ def test_flush_is_idempotent_and_additive():
     from repro.obs.fastobs import FastObs
 
     observer = Observer()
-    observer.metrics.count("persist.lines", 42)
-    fobs = FastObs(observer, num_cores=2, assoc=2)
+    observer.count("persist.lines", 42)
+    fobs = FastObs(observer, num_cores=2)
     fobs.ops[0] = 3
     fobs.mem_ops[0] = 2
     fobs.compute_cycles[0] = 12
     fobs.mem_cycles[0] = 9
     fobs.flush()
     fobs.flush()
-    counters = observer.metrics.counters
+    counters = observer.counters
     assert counters["persist.lines"] == 42
     assert counters["sched.compute_cycles.c0"] == 12
     assert counters["sched.mem_cycles.c0"] == 9

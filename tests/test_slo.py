@@ -1,6 +1,6 @@
 """Tests for the request-level SLO layer (repro.obs.slo).
 
-The streaming reservoir must be *exactly* the sort-based oracle, the
+Every percentile is the nearest-rank one of the stored records, the
 durable frontier must implement the store-event semantics (suffix-min
 per word, prefix-max across words), and the reconstructed records must
 replay the open-loop arrival process coordination-omission free. The
@@ -23,7 +23,6 @@ from repro.obs import Observer
 from repro.obs.slo import (
     SLO_QUANTILES,
     SPARK_BLOCKS,
-    LatencyReservoir,
     RequestRecord,
     build_records,
     chrome_request_events,
@@ -32,7 +31,6 @@ from repro.obs.slo import (
     durable_frontier,
     exact_quantile,
     latency_p99_series,
-    merged_reservoirs,
     recovery_summary,
     service_report,
     slo_summary,
@@ -64,68 +62,19 @@ def observed_run(mechanism="lrp", spec=None):
 
 
 # ----------------------------------------------------------------------
-# Exact streaming percentiles
+# Exact percentiles
 # ----------------------------------------------------------------------
 
-def test_reservoir_matches_sort_oracle():
-    import random
-
-    rng = random.Random(7)
-    values = [rng.randrange(1, 5000) for _ in range(997)]
-    reservoir = LatencyReservoir()
-    for value in values:
-        reservoir.observe(value)
-    for q in (0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0):
-        assert reservoir.quantile(q) == exact_quantile(values, q)
-    assert reservoir.total == len(values)
-    assert reservoir.max == max(values)
-    assert reservoir.mean == pytest.approx(sum(values) / len(values))
-
-
-def test_reservoir_merge_and_roundtrip():
-    a, b = LatencyReservoir(), LatencyReservoir()
-    for value in (1, 2, 2, 3):
-        a.observe(value)
-    for value in (3, 4):
-        b.observe(value)
-    a.merge(b)
-    assert a.total == 6
-    assert a.quantile(0.5) == exact_quantile([1, 2, 2, 3, 3, 4], 0.5)
-    restored = LatencyReservoir.from_dict(
-        json.loads(json.dumps(a.to_dict())))
-    assert restored.counts == a.counts
-    assert restored.total == a.total
-    merged = merged_reservoirs([a.to_dict(), b.to_dict()])
-    assert merged.total == a.total + b.total
-
-
-@pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
-def test_reservoir_quantiles_exact_on_every_mechanism(mechanism):
-    """The streaming percentiles of a real run's request and durable
-    latencies equal the nearest-rank quantiles of the stored records."""
-    result, observer = observed_run(mechanism)
-    records = build_records(result.spec, result.config, observer.spans,
-                            persist_log=result.nvm.persist_log())
-    for values in ([r.latency for r in records],
-                   [r.durable_latency for r in records]):
-        reservoir = LatencyReservoir()
-        for value in values:
-            reservoir.observe(value)
-        for _name, q in SLO_QUANTILES:
-            assert reservoir.quantile(q) == exact_quantile(values, q)
-
-
-def test_reservoir_edge_cases():
-    empty = LatencyReservoir()
-    assert empty.quantile(0.99) == 0
-    assert empty.mean == 0.0
-    assert empty.max == 0
+def test_exact_quantile_edge_cases():
+    assert exact_quantile([], 0.99) == 0
     with pytest.raises(ValueError):
-        empty.quantile(1.5)
-    single = LatencyReservoir()
-    single.observe(42)
-    assert single.quantile(0.0) == 42
-    assert single.quantile(1.0) == 42
+        exact_quantile([], 1.5)
+    assert exact_quantile([42], 0.0) == 42
+    assert exact_quantile([42], 1.0) == 42
+    empty = slo_summary([], makespan=0)
+    assert empty["latency"]["p99"] == 0
+    assert empty["latency"]["mean"] == 0.0
+    assert empty["latency"]["max"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +234,12 @@ def test_completion_and_p99_series():
     assert sum(series) == len(records)
     p99s = latency_p99_series(records, 500)
     assert len(p99s) == len(series)
+    # No window holds 100 requests, so each nearest-rank p99 is the
+    # window's largest latency.
+    assert series and max(series) < 100
+    assert p99s == [max((r.latency for r in records
+                         if r.completion // 500 == window), default=0)
+                    for window in range(len(series))]
     with pytest.raises(ValueError):
         completion_series(records, 0)
 
