@@ -269,6 +269,7 @@ class ExperimentRunner:
 
         pending: List[int] = []
         keys: Dict[int, str] = {}
+        hits = misses = 0
         for index, job in enumerate(jobs):
             if self.cache is not None:
                 key = job.key()
@@ -276,11 +277,13 @@ class ExperimentRunner:
                 hit = self.cache.get(key)
                 if hit is not None:
                     results[index] = hit
-                    self.cache_hits += 1
+                    hits += 1
                     self.progress.job_done(job.label(), cached=True)
                     continue
-                self.cache_misses += 1
+                misses += 1
             pending.append(index)
+        self.cache_hits += hits
+        self.cache_misses += misses
 
         if self.jobs == 1 or len(pending) <= 1:
             for index in pending:
@@ -293,8 +296,8 @@ class ExperimentRunner:
         self.progress.finish()
         if self.cache is not None:
             # Feed the `python -m repro.exp cache stats` sidecar once
-            # per batch (never per lookup).
-            self.cache.flush_stats()
+            # per batch (never per lookup), with this batch's lookups.
+            self.cache.flush_stats(hits, misses)
         assert all(summary is not None for summary in results)
         return results  # type: ignore[return-value]
 
