@@ -39,8 +39,9 @@ test:
 # - the killed-run contract (TestKilledRun in
 #   tests/test_exp_runner.py: a SIGKILLed or Ctrl-C'd figures run
 #   resumes from the result cache, and its pool workers exit with it;
-#   Ctrl-C on a pooled `repro.bench` or a serial `repro.fuzz` run, as
-#   on `figures`, ends in one stderr line and exit status 130).
+#   Ctrl-C on a pooled `repro.bench` run or a serial `repro.fuzz` or
+#   `repro.obs slo` run, as on `figures`, ends in one stderr line and
+#   exit status 130).
 smoke:
 	$(PYTEST) -q -m "not slow"
 

@@ -9,6 +9,9 @@ Two modes:
   state (written as a replayable repro file with ``--out``).
 * ``--list``: show the canned litmus programs.
 
+Bad program or mechanism names and unwritable ``--out`` paths exit 2
+with a one-line error; Ctrl-C prints one line and exits 130.
+
 ``tests/test_mc.py`` pins the construction: DPOR explores every trace
 class of every suite program exactly once (class sets identical to
 brute-force enumeration, strictly fewer schedules than
@@ -24,6 +27,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.exp.runner import run_cli
 from repro.mc.checker import DEFAULT_MECHANISMS, ProgramCheck, \
     check_program
 from repro.mc.programs import PROGRAMS
@@ -109,4 +113,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_cli(main, "repro.mc")
