@@ -289,10 +289,6 @@ class Trace:
         """Copy of the full architectural memory."""
         return dict(self._memory)
 
-    def last_writer_snapshot(self) -> Dict[int, int]:
-        """Copy of the word -> youngest-writer-event map."""
-        return dict(self._last_writer)
-
     def writes(self) -> List[MemoryEvent]:
         """All events with a write effect, in execution order."""
         return [e for e in self.events if e.is_write_effect]

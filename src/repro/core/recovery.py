@@ -27,9 +27,9 @@ prototype. Its passing memo walk is kept in a walk store beside the
 prototype, keyed by the structure's class and layout, and the first
 validation of a later campaign over the same baseline starts from it
 instead of walking again. The store lives as long as the prototype
-(until the setup cache evicts it or ``clear_setup_cache`` runs); a
-baseline from ``Machine.checkpoint`` or an unshared install has none,
-and a change to an image that the controller did not make drops it.
+(until the setup cache evicts it or ``clear_setup_cache`` runs); an
+unshared install has none, and a change to an image that the
+controller did not make drops it.
 """
 
 from __future__ import annotations

@@ -309,8 +309,7 @@ def _confirm(config: CampaignConfig, run, shrunk: ShrunkCounterexample,
     if result.config.record_trace:
         from repro.persistency.checker import RPChecker
 
-        checker = RPChecker(result.trace, result.nvm,
-                            boundary_event=result.machine.boundary_event)
+        checker = RPChecker(result.trace, result.nvm)
         verdict["cut_violations"] = len(checker.check_cut(shrunk.prefix))
     return {
         "exec_index": candidate["exec_index"],

@@ -140,9 +140,7 @@ class ReproFile:
         if result.config.record_trace:
             from repro.persistency.checker import RPChecker
 
-            checker = RPChecker(result.trace, result.nvm,
-                                boundary_event=result.machine
-                                .boundary_event)
+            checker = RPChecker(result.trace, result.nvm)
             verdict["cut_violations"] = len(
                 checker.check_cut(self.prefix))
         return verdict

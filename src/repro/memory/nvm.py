@@ -114,7 +114,6 @@ class NVMController:
         # Words considered durable before the measured phase started
         # (the pre-populated data structure).
         self._baseline_image: Dict[int, Word] = {}
-        self._baseline_events: Dict[int, int] = {}
         # The shared baseline's walk store (see CrashImage), if any.
         self._baseline_walks: Optional[Dict[tuple, tuple]] = None
 
@@ -231,27 +230,21 @@ class NVMController:
     def _durability_order(self) -> List[PersistRecord]:
         """The persist log, sorted once per state of the log and the
         baseline. Persists are only ever appended, so a length change
-        means new ones; a reset or a new baseline drops the order."""
+        means new ones; a new baseline drops the order."""
         order = self._sorted
         if order is None or len(order) != len(self._records):
             order = self._sorted = sorted(
                 self._records, key=lambda r: (r.complete_time, r.issue_seq))
         return order
 
-    def reset_log(self) -> None:
-        """Forget recorded persists (measured phase starts fresh)."""
-        self._records.clear()
-        self._sorted = None
-
-    def set_baseline_image(self, words: Dict[int, Word],
-                           events: Optional[Dict[int, int]] = None, *,
+    def set_baseline_image(self, words: Dict[int, Word], *,
                            share: bool = False,
                            walks: Optional[Dict[tuple, tuple]] = None
                            ) -> None:
-        """Install pre-populated durable state (setup-phase checkpoint).
+        """Install pre-populated durable state (the setup phase's result).
 
-        With ``share`` the dicts are adopted without copying; the
-        caller must never mutate them afterwards (the controller itself
+        With ``share`` the dict is adopted without copying; the
+        caller must never mutate it afterwards (the controller itself
         only ever reads the baseline). ``walks`` is the walk store kept
         beside a shared baseline, handed to every fresh image (see
         :class:`CrashImage`); a copied baseline is a new one, and
@@ -259,10 +252,8 @@ class NVMController:
         """
         if share:
             self._baseline_image = words
-            self._baseline_events = events or {}
         else:
             self._baseline_image = dict(words)
-            self._baseline_events = dict(events or {})
             walks = None
         self._baseline_walks = walks
         self._sorted = None   # images of the old baseline cannot advance
@@ -315,8 +306,9 @@ class NVMController:
 
     def durable_events_after_prefix(self, prefix_len: int) -> Dict[int, int]:
         """Word -> youngest persisted store event id, for a crash prefix
-        (same range as :meth:`image_after_prefix`)."""
-        events = dict(self._baseline_events)
+        (same range as :meth:`image_after_prefix`). Baseline words
+        carry no store event."""
+        events: Dict[int, int] = {}
         for record in self._checked_log(prefix_len)[:prefix_len]:
             events.update(record.word_events())
         return events

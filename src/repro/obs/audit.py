@@ -100,7 +100,7 @@ class AuditReport:
 
 def audit_execution(trace: Trace, nvm: NVMController, *,
                     workload: str = "?", mechanism: str = "?",
-                    enforces_rp: bool = True, boundary_event: int = 0,
+                    enforces_rp: bool = True,
                     cut_samples: int = 8, cut_seed: int = 0,
                     makespan: int = 0) -> AuditReport:
     """Audit a recorded execution (trace + persist log) against RP.
@@ -109,10 +109,9 @@ def audit_execution(trace: Trace, nvm: NVMController, *,
     (e.g. an intentionally inverted log) to prove the audit detects
     what it claims to detect.
     """
-    checker = RPChecker(trace, nvm, boundary_event=boundary_event)
+    checker = RPChecker(trace, nvm)
     order = checker.check_order()
-    pairs = sum(1 for earlier, _later in checker.happens_before.write_pairs()
-                if _later.event_id >= boundary_event)
+    pairs = sum(1 for _pair in checker.happens_before.write_pairs())
     log_length = len(nvm.persist_log())
     cut_results = [
         (prefix, checker.check_cut(prefix))
@@ -135,6 +134,5 @@ def audit_simulation(result: SimulationResult, *,
         workload=result.spec.structure,
         mechanism=result.mechanism,
         enforces_rp=mechanism_cls.enforces_rp,
-        boundary_event=result.machine.boundary_event,
         cut_samples=cut_samples, cut_seed=cut_seed,
         makespan=result.makespan)

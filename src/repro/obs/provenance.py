@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 #: (e.g. a hand-built workload outside the harness).
 UNTAGGED_SITE = "(untagged)"
 
-#: Site attributed to end-of-run / checkpoint drains: those persists
+#: Site attributed to end-of-run drains: those persists
 #: and stalls happen after the last workload op completes.
 DRAIN_SITE = "(drain)"
 
@@ -55,7 +55,7 @@ TRIGGERS = (
     "rmw-acquire",    # LRP invariant I3: acquire-RMW persists its write
     "epoch-wrap",     # LRP epoch-id overflow drains the core
     "store-buffer",   # ARP/DPO/HOPS word persists enqueue on the store
-    "drain",          # end-of-run / checkpoint drain
+    "drain",          # end-of-run drain
 )
 
 

@@ -50,17 +50,14 @@ class Violation:
 class RPChecker:
     """Checks a finished run's persist log against the RP rules.
 
-    ``boundary_event``: events with id below it belong to the setup
-    phase whose state was checkpointed into the NVM baseline — they are
-    treated as durable from the start.
+    The pre-populated baseline is installed without events, so every
+    recorded write belongs to the measured run.
     """
 
     def __init__(self, trace: Trace, nvm: NVMController,
-                 boundary_event: int = 0,
                  hb: Optional[HappensBefore] = None) -> None:
         self._trace = trace
         self._nvm = nvm
-        self._boundary = boundary_event
         # The persist order is constrained by the RP-rule closure
         # (Section 4.1) — see HappensBefore's "rp" mode.
         self._hb = hb or HappensBefore.from_trace(trace, mode="rp")
@@ -83,8 +80,6 @@ class RPChecker:
         when an hb-later write to the same word persists (the write was
         legitimately coalesced/overwritten within a consistent cut).
         """
-        if write.event_id < self._boundary:
-            return -1
         for idx, event_id in self._word_history.get(write.addr, ()):  # ordered
             if event_id == write.event_id:
                 return idx
@@ -98,8 +93,6 @@ class RPChecker:
         violations: List[Violation] = []
         durable: Dict[int, float] = {}
         for earlier, later in self._hb.write_pairs():
-            if later.event_id < self._boundary:
-                continue
             for event in (earlier, later):
                 if event.event_id not in durable:
                     durable[event.event_id] = self.durable_index(event)
@@ -116,16 +109,11 @@ class RPChecker:
         violations: List[Violation] = []
         events = self._trace.events
         visible = self._nvm.durable_events_after_prefix(prefix_len)
-        visible_ids = {
-            eid for eid in visible.values() if eid >= self._boundary
-        }
-        for later_id in visible_ids:
+        for later_id in set(visible.values()):
             later = events[later_id]
             for earlier_id in self._hb.predecessors(later_id):
                 earlier = events[earlier_id]
                 if not earlier.is_write_effect:
-                    continue
-                if earlier.event_id < self._boundary:
                     continue
                 if not self._reflected(earlier, visible):
                     violations.append(Violation(
@@ -142,7 +130,5 @@ class RPChecker:
             return False
         if durable_event == write.event_id:
             return True
-        if durable_event < self._boundary:
-            return False
         return (durable_event > write.event_id
                 and self._hb.ordered(write.event_id, durable_event))

@@ -80,14 +80,6 @@ class TestOrderCheck:
                             after=200)
         assert RPChecker(m.trace, m.nvm).check_order() == []
 
-    def test_boundary_events_treated_durable(self):
-        m = Machine(CFG, "nop")
-        m.trace.record_write(0, LINE_A, 1)
-        rel = m.trace.record_write(0, LINE_B, 2, MemOrder.RELEASE)
-        m.nvm.issue_persist(LINE_B, {LINE_B: (2, rel.event_id)}, now=0)
-        checker = RPChecker(m.trace, m.nvm, boundary_event=1)
-        assert checker.check_order() == []
-
 
 class TestCutCheck:
     def test_every_prefix_of_lrp_run_is_consistent(self):

@@ -450,8 +450,6 @@ def test_new_baselines_have_no_store():
     machine = Machine(CONFIG, "lrp")
     machine.install_initial_state(memory, share=True, walks={})
     assert machine.nvm.image_after_prefix(0).baseline_walks == {}
-    machine.checkpoint(0)
-    assert machine.nvm.image_after_prefix(0).baseline_walks is None
 
 
 def test_clear_setup_cache_drops_the_stores():

@@ -127,13 +127,6 @@ class TestSnapshots:
         snap[0x8] = 99
         assert trace.load(0x8) == 1
 
-    def test_last_writer_snapshot(self):
-        trace = Trace()
-        w0 = trace.record_write(0, 0x8, 1)
-        w1 = trace.record_write(0, 0x8, 2)
-        assert trace.last_writer_snapshot() == {0x8: w1.event_id}
-        assert w0.event_id != w1.event_id
-
     def test_writes_filter(self):
         trace = Trace()
         trace.record_write(0, 0x8, 1)

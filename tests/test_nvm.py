@@ -104,21 +104,14 @@ class TestPersistLog:
 
     def test_baseline_included(self):
         nvm = NVMController(_config())
-        nvm.set_baseline_image({0x8: 42}, {0x8: 7})
+        nvm.set_baseline_image({0x8: 42})
         assert nvm.image_after_prefix(0) == {0x8: 42}
-        assert nvm.durable_events_after_prefix(0) == {0x8: 7}
 
     def test_baseline_overwritten_by_persists(self):
         nvm = NVMController(_config())
         nvm.set_baseline_image({0x0: 42})
         nvm.issue_persist(0x0, _words(0x0, 99, 3), now=0)
         assert nvm.final_image() == {0x0: 99}
-
-    def test_reset_log(self):
-        nvm = NVMController(_config())
-        nvm.issue_persist(0x0, _words(0x0, 1, 0), now=0)
-        nvm.reset_log()
-        assert nvm.persist_log() == []
 
     def test_record_accessors(self):
         nvm = NVMController(_config())

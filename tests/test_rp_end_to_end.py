@@ -30,8 +30,7 @@ class TestRPHolds:
     def test_persist_order_respects_hb(self, workload, mechanism):
         result = simulate(_spec(workload, seed=0), mechanism=mechanism,
                           config=CFG)
-        checker = RPChecker(result.trace, result.nvm,
-                            boundary_event=result.machine.boundary_event)
+        checker = RPChecker(result.trace, result.nvm)
         violations = checker.check_order()
         assert violations == [], [str(v) for v in violations[:3]]
 
@@ -41,8 +40,7 @@ class TestCutsConsistent:
     def test_sampled_prefixes_are_consistent_cuts(self, mechanism):
         result = simulate(_spec("hashmap", seed=1), mechanism=mechanism,
                           config=CFG)
-        checker = RPChecker(result.trace, result.nvm,
-                            boundary_event=result.machine.boundary_event)
+        checker = RPChecker(result.trace, result.nvm)
         log_len = len(result.nvm.persist_log())
         for prefix in range(0, log_len + 1, max(1, log_len // 12)):
             assert checker.check_cut(prefix) == []
@@ -53,8 +51,7 @@ class TestSeedSweep:
     def test_lrp_rp_holds_across_seeds(self, seed):
         result = simulate(_spec("skiplist", seed=seed), mechanism="lrp",
                           config=CFG)
-        checker = RPChecker(result.trace, result.nvm,
-                            boundary_event=result.machine.boundary_event)
+        checker = RPChecker(result.trace, result.nvm)
         assert checker.check_order() == []
 
 
@@ -67,9 +64,7 @@ class TestARPViolatesRP:
             for seed in range(3):
                 result = simulate(_spec(workload, seed),
                                   mechanism="arp", config=CFG)
-                checker = RPChecker(
-                    result.trace, result.nvm,
-                    boundary_event=result.machine.boundary_event)
+                checker = RPChecker(result.trace, result.nvm)
                 total += len(checker.check_order())
         assert total > 0
 
@@ -82,12 +77,7 @@ class TestARPViolatesRP:
 
         result = simulate(_spec("hashmap", seed=0), mechanism="arp",
                           config=CFG)
-        boundary = result.machine.boundary_event
-        word_maps = []
-        for record in result.nvm.persist_log():
-            events = {w: e for w, e in record.word_events().items()
-                      if e >= boundary}
-            if events:
-                word_maps.append(events)
+        word_maps = [record.word_events()
+                     for record in result.nvm.persist_log()]
         sequence = persist_sequence_from_log(result.trace, word_maps)
         assert arp_allows(result.trace, sequence)

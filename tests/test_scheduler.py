@@ -226,14 +226,6 @@ class TestMachineOps:
         with pytest.raises(ValueError):
             m.install_initial_state({0x10: 2})
 
-    def test_checkpoint_resets_log_and_boundary(self):
-        m = Machine(CFG, "sb")
-        m.execute(0, store(0x8, 1), 0)
-        m.checkpoint(10_000)
-        assert m.boundary_event == 1
-        assert m.nvm.persist_log() == []
-        assert m.nvm.baseline_image()[0x8] == 1
-
     def test_sync_source_detection(self):
         m = Machine(CFG, "arp")
         m.execute(0, store(0x8, 1, MemOrder.RELEASE), 0)
