@@ -10,7 +10,9 @@ interleaving is pinned here by sha256 digest, case by case:
   on) every recorded memory event;
 * ``export/...`` — the same run fingerprint plus
   ``Observer.export()`` (JSON, ``sort_keys``) of a metrics observer,
-  whose metrics are counters;
+  whose counters are the per-core ``sched.compute_cycles.c<i>``
+  split (every other run metric is in ``RunStats``, which the
+  fingerprint already covers);
 * ``observed/...`` — trace and/or provenance collectors, whose export
   carries the Chrome trace events and the provenance chains;
 * ``nudged/...`` — the fuzzer's schedule nudges: none, a rank that
@@ -24,9 +26,11 @@ preceded the single batch loop; wherever the batch loop could also
 run a case, it produced the same digests. The ``export/`` digests
 were recorded again once the cycle-windowed timeline was retired, and
 every digest that carries an export (``export/``, ``observed/`` and
-``nudged-observed/``) once the metrics histograms were: each earlier
-export, with its timeline series, counter tracks and histograms
-removed, is byte for byte the one pinned now.
+``nudged-observed/``) once the metrics histograms were, and again once
+the counters that copied ``RunStats`` were: each earlier export, with
+its timeline series, counter tracks, histograms and every counter but
+``sched.compute_cycles.*`` removed, is byte for byte the one pinned
+now.
 
 Regenerate (only when an execution is meant to change) with::
 
@@ -100,10 +104,21 @@ def fingerprint(result, record) -> str:
     return h.hexdigest()
 
 
+#: The one counter family an export keeps: the per-core compute
+#: cycles of the attribution report.
+KEPT_COUNTERS = "sched.compute_cycles."
+
+
 def _with_export(digest, observer) -> str:
-    """``digest`` extended by the observer's export as JSON."""
+    """``digest`` extended by the observer's export as JSON, with the
+    counters cut to ``sched.compute_cycles.*``."""
+    export = observer.export()
+    counters = export["metrics"]["counters"]
+    export["metrics"]["counters"] = {
+        name: value for name, value in counters.items()
+        if name.startswith(KEPT_COUNTERS)}
     return hashlib.sha256(
-        (digest + json.dumps(observer.export(), sort_keys=True)).encode()
+        (digest + json.dumps(export, sort_keys=True)).encode()
     ).hexdigest()
 
 
