@@ -41,7 +41,8 @@ test:
 #   resumes from the result cache, and its pool workers exit with it;
 #   Ctrl-C on a pooled `repro.bench` run or a serial `repro.fuzz` or
 #   `repro.obs slo` run, as on `figures`, ends in one stderr line and
-#   exit status 130).
+#   exit status 130; test_bad_input_is_one_line_error in the same file:
+#   bad input to any CLI ends in one `prog: error: ...` line).
 smoke:
 	$(PYTEST) -q -m "not slow"
 

@@ -43,7 +43,6 @@ from repro.coherence.l1cache import L1Cache, MESIState
 from repro.coherence.noc import MeshNoC
 from repro.common.params import MachineConfig
 from repro.common.tables import LineIdMap
-from repro.obs import Observer
 
 
 class _DirEntry:
@@ -74,9 +73,7 @@ class _DirEntry:
 class CoherenceFabric:
     """All L1s + directory + NoC: the state MESI transitions act on."""
 
-    def __init__(self, config: MachineConfig,
-                 obs: Optional[Observer] = None) -> None:
-        self.obs = obs
+    def __init__(self, config: MachineConfig) -> None:
         self.noc = MeshNoC(config)
         self.l1s: List[L1Cache] = [
             L1Cache(core_id, config) for core_id in range(config.num_cores)
@@ -93,8 +90,6 @@ class CoherenceFabric:
     def block_line_until(self, line_addr: int, time: int) -> None:
         """Block requests for a line until ``time`` (LRP invariant I4)."""
         current = self._blocked_until.get(line_addr, 0)
-        if self.obs is not None and time > current:
-            self.obs.count("dir.lines_blocked")
         self._blocked_until[line_addr] = max(current, time)
 
     def blocked_until(self, line_addr: int) -> int:

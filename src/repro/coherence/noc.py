@@ -21,7 +21,7 @@ class MeshNoC:
         self._line_shift = config.line_offset_bits
         self._num_cores = config.num_cores
         # Hop counts and latencies are pure functions of (tile, tile);
-        # the miss path asks for them several times per miss, so
+        # the miss path asks for latencies several times per miss, so
         # flatten both matrices once (num_cores^2 entries, tiny) and
         # index them.
         dim = self._dim

@@ -37,17 +37,16 @@ Two extensions ride on the quantum boundary and the per-op dispatch:
   whose generator has finished executes no op, so the same decision
   index is taken again among the remaining threads.
 
-* **Observers.** Metrics and the ``sched.*`` counters accumulate in
-  the flat tables of :class:`repro.obs.fastobs.FastObs` and flush into
-  the Observer at run end: the loop tallies only WORK ops, and each
-  thread's cycle split comes from its clock delta at run end.
-  Request-boundary clocks append straight into the
-  :class:`repro.obs.spans.SpanTracker` lanes. A trace or provenance
-  collector adds one per-op branch: the memory op runs through
-  :meth:`Machine.execute`, which names the op's provenance site and
-  reaches the same closures (bound to this run's FastObs, so they
-  also emit the coherence instants), and the loop emits the op's
-  ``core<tid>`` span.
+* **Observers.** Every run metric is in ``RunStats``; the one
+  counter an Observer gets is each core's ``sched.compute_cycles``,
+  written at run end from the loop's WORK tallies (the only op kind
+  whose compute charge is not uniform). Request-boundary clocks
+  append straight into the :class:`repro.obs.spans.SpanTracker`
+  lanes. A trace or provenance collector adds one per-op branch: the
+  memory op runs through :meth:`Machine.execute`, which names the
+  op's provenance site and reaches the same closures (which emit the
+  coherence instants to a trace collector), and the loop emits the
+  op's ``core<tid>`` span.
 
 ``tests/engine_digests.py`` pins stats, persist streams, memory
 images, recorded events, observer exports, nudged schedules and span
@@ -67,7 +66,6 @@ from repro.coherence.l1cache import (
 )
 from repro.consistency.events import MemOrder
 from repro.core.thread import OpKind
-from repro.obs.fastobs import FastObs
 from repro.obs.spans import REQUEST_BOUNDARY as _SPAN_BOUNDARY
 from repro.persistency.base import PersistencyMechanism
 from repro.persistency.lrp import LRPMechanism
@@ -154,10 +152,8 @@ def _run(scheduler) -> int:
     l1s = machine.fabric.l1s
     heappop, heapreplace = heapq.heappop, heapq.heapreplace
 
-    # Telemetry: aggregates accumulate in FastObs's flat tables (the
-    # scheduler streams here, the fused closures write the coherence
-    # slots) and flush into the Observer once at run end. Mechanisms
-    # and the directory keep their direct Observer attachment.
+    # Telemetry: the loop tallies WORK ops and their cycles per thread,
+    # and the compute counters are written once at run end.
     obs = machine.obs
     if obs is not None:
         # Request spans (repro.obs.spans): raw per-thread boundary and
@@ -167,23 +163,22 @@ def _run(scheduler) -> int:
             sp_lanes, sp_events = obs.spans.lanes(len(threads))
         else:
             sp_lanes = sp_events = None
-        fobs = FastObs(obs, config.num_cores)
-        fo_nw = fobs.work_ops
-        fo_wl = fobs.work_latency
+        work_ops = [0] * len(threads)
+        work_cycles = [0] * len(threads)
         # Trace and provenance collectors see every op: its memory
         # access runs through Machine.execute and the op gets a span.
         narrate = obs.trace is not None or obs.provenance is not None
         obs_span = obs.span
     else:
-        fobs = None
         sp_lanes = sp_events = None
         narrate = False
     # The kind the first dispatch test inlines: under narration no read
     # is inlined, so reads fall through to the Machine.execute branch.
     inline_read = None if narrate else _READ
-    # Also rebinds the machine's own pair, so the narrated branch's
-    # Machine.execute feeds this run's FastObs through the same code.
-    fast_miss, fast_upgrade = machine.make_fast_path(fastobs=fobs)
+    # The pair is built again here, not read off the machine: perfbench's
+    # layer tracer wraps make_fast_path and times the coherence path
+    # through the pair it returns.
+    fast_miss, fast_upgrade = machine.make_fast_path()
 
     # L1 geometry is config-wide (identical across cores); the
     # per-thread containers are bundled into one tuple so a quantum
@@ -197,16 +192,13 @@ def _run(scheduler) -> int:
         l1 = l1s[t.thread_id]
         tstate.append((t, t.gen, stats_list[t.thread_id], l1, l1._sets,
                        l1.state_codes, l1.lru, l1.lines))
-    # Entry snapshots for the telemetry. A thread's clock delta over
-    # the run, together with the op/WORK tallies, yields its cycle
-    # split (see the run-end derivation). Memory-op counts are never
+    # Entry snapshot for the telemetry. Memory-op counts are never
     # tallied in the loop: CoreStats already bumps exactly one of
     # reads/writes/rmws once per READ/WRITE/CAS/XCHG (inline paths
     # below, _do_* entries otherwise), so a thread's memory-op total
     # over the run is its stats delta against this snapshot; WORK —
-    # the only other kind — tallies its own fo_nw.
-    if fobs is not None:
-        start_clocks = [t.clock for t in threads]
+    # the only other kind — tallies its own work_ops.
+    if obs is not None:
         start_mem = [0] * len(threads)
         for t in threads:
             s = stats_list[t.thread_id]
@@ -331,13 +323,12 @@ def _run(scheduler) -> int:
             elif kind is _WORK:
                 result = None
                 latency = op.cycles
-                if fobs is not None:
+                if obs is not None:
                     # WORK is the one op kind whose compute charge is
                     # not uniform, so it is the only one tallied per
-                    # op; memory-op counts and charges are derived at
-                    # run end.
-                    fo_nw[tid] += 1
-                    fo_wl[tid] += latency
+                    # op; memory-op counts are derived at run end.
+                    work_ops[tid] += 1
+                    work_cycles[tid] += latency
                     if sp_lanes is not None and op.site is _SPAN_BOUNDARY:
                         # The request's completion cycle (the op's
                         # pre-advance clock) and its event frontier.
@@ -445,23 +436,17 @@ def _run(scheduler) -> int:
 
     trace._count = ev_count
     scheduler._executed_ops = executed
-    if fobs is not None:
-        # The cycle split, recovered per thread from the clock delta:
-        # every op advanced the clock by latency + compute, WORK
-        # latencies are compute charges (tallied in fo_wl), everything
-        # else is memory latency — so cc = fo_wl + ops * compute and mc
-        # is the rest: the per-op narration summed, at zero per-op
-        # cost.
+    if obs is not None:
+        # Compute cycles per thread: every op pays the fixed compute
+        # charge, and a WORK op's latency is compute too. A thread that
+        # ran no op gets no counter.
+        counters = obs.counters
         for t in threads:
             k = t.thread_id
             s = stats_list[k]
-            mem = s.reads + s.writes + s.rmws - start_mem[k]
-            n = mem + fo_nw[k]
-            fobs.ops[k] = n
-            fobs.mem_ops[k] = mem
-            if n:
-                cc = fo_wl[k] + n * compute
-                fobs.compute_cycles[k] = cc
-                fobs.mem_cycles[k] = t.clock - start_clocks[k] - cc
-        fobs.flush()
+            ops = s.reads + s.writes + s.rmws - start_mem[k] + work_ops[k]
+            if ops:
+                name = f"sched.compute_cycles.c{k}"
+                counters[name] = (counters.get(name, 0) + work_cycles[k]
+                                  + ops * compute)
     return scheduler.makespan()

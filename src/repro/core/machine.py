@@ -65,7 +65,7 @@ class Machine:
                  ) -> None:
         self.config = config
         self.obs = observer
-        self.fabric = CoherenceFabric(config, obs=observer)
+        self.fabric = CoherenceFabric(config)
         self.nvm = NVMController(config)
         self.trace = Trace(record=config.record_trace)
         self.stats = [CoreStats(core_id=i) for i in range(config.num_cores)]
@@ -73,8 +73,6 @@ class Machine:
             mechanism = mechanism_by_name(mechanism)
         self.mechanism: PersistencyMechanism = mechanism(
             config, self.nvm, self.fabric, self.stats, obs=observer)
-        # The unobserved miss/upgrade pair; a scheduler run rebinds it
-        # to the run's FastObs.
         self.make_fast_path()
 
     # ------------------------------------------------------------------
@@ -150,8 +148,11 @@ class Machine:
         machine for :meth:`coherence_access`. Every piece of fabric
         state is pre-bound (all the referenced containers are
         identity-stable for the machine's lifetime). The constructor
-        builds the unobserved pair; the batch engine calls this again
-        at run start, binding the pair to the run's FastObs.
+        builds the pair, and the batch engine builds it again at run
+        start and uses the pair returned. That call, and ``fastobs``,
+        which is ignored, stay for ``perfbench/layers.py``: its
+        ``traced_fast_path`` passes the keyword by name and times the
+        coherence layer through the returned pair.
 
         ``fast_miss(core, line_addr, now, exclusive, set_index)``
         applies a miss's MESI transitions — demote a remote owner,
@@ -164,18 +165,9 @@ class Machine:
         latency. Both are pinned by the golden run digests of
         tests/engine_digests.py.
 
-        With ``fastobs`` (a :class:`repro.obs.fastobs.FastObs`) the
-        closures also bump its flat coherence slots:
-        ``dir.misses``/``dir.upgrades``, block-wait cycles, per-event
-        hop counts (which accrue only between distinct tiles) and the
-        ``coh.*`` counts (a downgrade before the mechanism's downgrade
-        stall, an eviction after it). The fixed-ratio streams —
-        ``noc.msgs`` (3 per miss + 1 per forwarding downgrade, 2 per
-        upgrade + 1 per invalidating upgrade) and ``l1.fills`` (1 per
-        miss) — are derived from those tallies at
-        :meth:`FastObs.flush` instead of being counted per event. When
-        the observer has a trace collector, the same two points emit
-        the ``downgrade c<owner>`` and ``evict`` instants on the
+        When the machine's observer has a trace collector, a miss
+        emits the ``downgrade c<owner>`` instant before the mechanism's
+        downgrade stall and the ``evict`` instant after it, on the
         requester's ``core<i>`` track.
         """
         config = self.config
@@ -204,33 +196,7 @@ class Machine:
         lines_by_core = [l1.lines for l1 in l1s]
         assoc = l1s[0]._assoc
 
-        if fastobs is not None:
-            from repro.obs import fastobs as _fo
-
-            fo_coh = fastobs.coh
-            fo_trace = fastobs.observer.trace
-            hops_tab = fabric.noc._hop_table
-            # Folded per-event hop totals: a plain (unforwarded) miss
-            # crosses requester->home twice plus home->requester once;
-            # an upgrade crosses requester->home twice. Mesh distance
-            # is symmetric, so each is a multiple of the one-way entry,
-            # and one table lookup replaces two lookups and two adds on
-            # the hottest path.
-            hops_miss3 = [3 * hops for hops in hops_tab]
-            hops_pair2 = [2 * hops for hops in hops_tab]
-            S_MISS = _fo.SLOT_DIR_MISSES
-            S_UPG = _fo.SLOT_DIR_UPGRADES
-            S_BW = _fo.SLOT_DIR_BLOCK_WAIT_CYCLES
-            S_HOPS = _fo.SLOT_NOC_HOPS
-            S_DG = _fo.SLOT_COH_DOWNGRADES
-            S_DGD = _fo.SLOT_COH_DOWNGRADES_DIRTY
-            S_EV = _fo.SLOT_COH_EVICTIONS
-            S_EVD = _fo.SLOT_COH_EVICTIONS_DIRTY
-            S_INV = _fo.SLOT_COH_INVALIDATIONS
-            S_UPG_INV = _fo.SLOT_AUX_UPGRADE_INV
-        else:
-            fo_coh = None
-            fo_trace = None
+        trace = self.obs.trace if self.obs is not None else None
 
         def fast_miss(core, line_addr, now, exclusive, set_index):
             stats = stats_list[core]
@@ -251,15 +217,6 @@ class Machine:
             else:
                 block_wait = 0
             latency = l1_hit_cycles + req_home + llc_hit + block_wait
-            if fo_coh is not None:
-                # Message and fill counts are derived at flush from the
-                # event tallies (3 msgs + 1 fill per miss, +1 msg per
-                # forwarding downgrade); only hop distances — which
-                # depend on the actual core/home/owner placement — and
-                # the rarer tallies are accumulated per event here.
-                fo_coh[S_MISS] += 1
-                if block_wait:
-                    fo_coh[S_BW] += block_wait
 
             # Remote owner: demote. Transitions happen now; the
             # mechanism hooks run after the full coherence latency is
@@ -291,20 +248,8 @@ class Machine:
                     sharers[lid] |= 1 << owner
                 owner_arr[lid] = -1
                 dg_owner = owner
-                if fo_coh is not None:
-                    # Doubled requester->home leg plus the forwarding
-                    # legs home->owner and owner->core.
-                    d = (hops_pair2[core * n + home]
-                         + hops_tab[home * n + owner]
-                         + hops_tab[owner * n + core])
-                    if d:
-                        fo_coh[S_HOPS] += d
             else:
                 latency += lat[home * n + core]
-                if fo_coh is not None:
-                    d = hops_miss3[core * n + home]
-                    if d:
-                        fo_coh[S_HOPS] += d
 
             invalidated = 0
             if exclusive:
@@ -379,16 +324,11 @@ class Machine:
                 ostats.downgrades_received += 1
                 if dg_was_modified and not dg_had_pending:
                     ostats.writebacks_total += 1
-                if fo_coh is not None:
+                if trace is not None:
                     # Narrated before the mechanism's downgrade stall
                     # grows latency.
-                    fo_coh[S_DG] += 1
-                    if dg_had_pending:
-                        fo_coh[S_DGD] += 1
-                    if fo_trace is not None:
-                        fo_trace.instant(f"core{core}",
-                                         f"downgrade c{dg_owner}",
-                                         now + latency, "coherence")
+                    trace.instant(f"core{core}", f"downgrade c{dg_owner}",
+                                  now + latency, "coherence")
                 latency += mechanism.on_downgrade(
                     dg_owner, owner_line, dg_to_state, core, now + latency)
                 if owner_line.pending_words:
@@ -398,18 +338,13 @@ class Machine:
                         f"words")
             if victim is not None:
                 stats.evictions += 1
-                ev_had_pending = bool(victim.pending_words)
-                if victim._state is MODIFIED and not ev_had_pending:
+                if victim._state is MODIFIED and not victim.pending_words:
                     stats.writebacks_total += 1
-                if fo_coh is not None:
+                if trace is not None:
                     # Narrated after any downgrade stall, before the
                     # eviction's own.
-                    fo_coh[S_EV] += 1
-                    if ev_had_pending:
-                        fo_coh[S_EVD] += 1
-                    if fo_trace is not None:
-                        fo_trace.instant(f"core{core}", "evict",
-                                         now + latency, "coherence")
+                    trace.instant(f"core{core}", "evict", now + latency,
+                                  "coherence")
                 latency += mechanism.on_evict(core, victim, now + latency)
                 if victim.pending_words:
                     raise AssertionError(
@@ -417,8 +352,6 @@ class Machine:
                         f"{victim.addr:#x} still holds unpersisted words")
             if invalidated:
                 stats.invalidations_received += invalidated
-                if fo_coh is not None:
-                    fo_coh[S_INV] += invalidated
             return line, latency
 
         def fast_upgrade(core, line, now):
@@ -444,25 +377,9 @@ class Machine:
             codes_by_core[core][line._slot] = MODIFIED_CODE
             latency = (l1_hit_cycles + 2 * req_home + llc_hit
                        + block_wait)
-            if fo_coh is not None:
-                # Two messages (the requester->home round trip) and one
-                # more when sharers were invalidated, derived at flush
-                # from the upgrade tallies; hops accrue here.
-                d = hops_pair2[core * n + home]
-                if d:
-                    fo_coh[S_HOPS] += d
-                fo_coh[S_UPG] += 1
-                if block_wait:
-                    fo_coh[S_BW] += block_wait
             if invalidated:
                 latency += lat[home * n + core]  # inv/ack, overlapped
                 stats.invalidations_received += invalidated
-                if fo_coh is not None:
-                    fo_coh[S_UPG_INV] += 1
-                    d = hops_tab[home * n + core]
-                    if d:
-                        fo_coh[S_HOPS] += d
-                    fo_coh[S_INV] += invalidated
             return latency
 
         self._fast_miss = fast_miss

@@ -65,8 +65,9 @@ class Job:
     crash_points: Optional[int] = None
     crash_seed: int = 0
     # Observability (repro.obs): attach an Observer inside the worker
-    # and ship its metrics (and, with collect_trace, the Chrome trace
-    # events) back in ``RunSummary.obs``. Never affects timing.
+    # and ship its export back in ``RunSummary.obs``: each core's
+    # compute cycles (the one series RunStats lacks) and, with
+    # collect_trace, the Chrome trace events. Never affects timing.
     collect_obs: bool = False
     collect_trace: bool = False
     # Persist provenance (repro.obs.provenance): causal chains per
@@ -125,9 +126,9 @@ class RunSummary:
     mechanism_counters: Dict[str, int]
     crash_attempts: Optional[int] = None
     crash_failures: Optional[int] = None
-    #: Serialized :class:`~repro.obs.Observer` export (metrics dict,
-    #: plus ``trace_events`` when the job asked for a trace). ``None``
-    #: unless the job was run with ``collect_obs``.
+    #: Serialized :class:`~repro.obs.Observer` export (the per-core
+    #: compute counters, plus ``trace_events`` when the job asked for
+    #: a trace). ``None`` unless the job collected obs data.
     obs: Optional[Dict[str, object]] = None
     #: Fuzzing-leg payload (coverage list, crash outcomes, executed
     #: ops); ``None`` unless the job carried a ``fuzz`` spec.

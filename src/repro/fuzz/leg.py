@@ -56,7 +56,7 @@ def run_fuzz_leg(result: SimulationResult,
                  spec: FuzzLegSpec) -> Dict[str, object]:
     """Harvest coverage and crash-test one finished (perturbed) run."""
     export = obs_export or {}
-    coverage = coverage_from_obs(export)
+    coverage = coverage_from_obs(export, result.stats)
     provenance = export.get("provenance")
     triggers = trigger_map(provenance) if isinstance(provenance, dict) \
         else {}

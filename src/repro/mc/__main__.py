@@ -10,7 +10,8 @@ Two modes:
 * ``--list``: show the canned litmus programs.
 
 Bad program or mechanism names and unwritable ``--out`` paths exit 2
-with a one-line error; Ctrl-C prints one line and exits 130.
+with one ``repro.mc: error: ...`` line, the shape every CLI uses;
+Ctrl-C prints one line and exits 130.
 
 ``tests/test_mc.py`` pins the construction: DPOR explores every trace
 class of every suite program exactly once (class sets identical to
@@ -107,8 +108,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _check_main(args)
     except (ValueError, OSError) as exc:
-        # Bad names and unwritable --out paths end in one line.
-        print(f"error: {exc}", file=sys.stderr)
+        # Bad names and unwritable --out paths end in one line, with
+        # argparse's usage-error status.
+        print(f"repro.mc: error: {exc}", file=sys.stderr)
         return 2
 
 

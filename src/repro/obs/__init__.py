@@ -2,13 +2,17 @@
 
 The subsystem has these layers:
 
-* an :class:`Observer` instrumentation hub that the machine, scheduler,
-  coherence fabric and persistency mechanisms feed through guarded
-  hooks (``if obs is not None: ...`` at every call site, so the
-  disabled path costs one attribute load and never perturbs timing);
-* a flat dict of named integer counters (:attr:`Observer.counters`)
-  that serializes into :class:`~repro.exp.runner.RunSummary` and thus
-  travels through worker processes and the result cache for free;
+* an :class:`Observer` instrumentation hub that the machine, scheduler
+  and persistency mechanisms feed through guarded hooks
+  (``if obs is not None: ...`` at every call site, so the disabled
+  path costs one attribute load and never perturbs timing);
+* the per-core compute-cycle counters (:attr:`Observer.counters`), the
+  one series the attribution report needs that ``RunStats`` lacks:
+  every other run metric (stall split, critical writebacks, coherence
+  transitions, persists) is read from ``RunStats``, the one metrics
+  store. The counters serialize into
+  :class:`~repro.exp.runner.RunSummary` and thus travel through worker
+  processes and the result cache for free;
 * a :class:`~repro.obs.provenance.ProvenanceTracker` (opt-in via
   ``provenance=True``) that records the causal chain behind every
   persist and stall — trigger event, hb-edge, dirtying site — feeding
@@ -56,13 +60,11 @@ class Observer:
     changes latencies, stats or the persist log (pinned by
     ``tests/test_obs.py``).
 
-    ``counters`` is a flat namespace of integers — plain dicts of ints
-    pickle between worker processes and into the result cache, and
-    add up across runs without any schema. Names are dotted paths,
-    most-general first (``persist.lines``, ``stall.inter-thread``,
-    ``lrp.engine_runs``); per-core counters append a ``.c<id>`` leaf
-    (``sched.compute_cycles.c3``) so the attribution report recovers
-    the per-core split with a prefix scan.
+    ``counters`` holds ``sched.compute_cycles.c<i>`` for each core that
+    ran an op, written by the batch engine at run end: the compute
+    share of a core's clock, which the attribution report splits off.
+    A plain dict of ints pickles between worker processes and into the
+    result cache; everything else a run measures is in ``RunStats``.
     """
 
     __slots__ = ("counters", "trace", "provenance", "spans")
@@ -80,12 +82,6 @@ class Observer:
         # engine records them with two appends per request.
         self.spans: Optional[SpanTracker] = (
             SpanTracker() if spans else None)
-
-    # -- counters ------------------------------------------------------
-
-    def count(self, name: str, value: int = 1) -> None:
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + value
 
     # -- tracing (no-ops unless trace collection was requested) --------
 

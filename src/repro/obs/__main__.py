@@ -36,9 +36,11 @@ do not reconcile with ``RunStats``) is pinned by the tier-1 tests:
 and ``test_slo.py``.
 
 CLI failures (unknown mechanism, unwritable output path, export
-without the requested data) exit 1 with a one-line diagnostic; missing
-parent directories of an output path are created. Ctrl-C prints one
-line and exits 130.
+without the requested data) raise ValueError or OSError, which
+:func:`~repro.exp.runner.run_cli` prints as one
+``repro.obs: error: ...`` line before exiting 1; missing parent
+directories of an output path are created. Ctrl-C prints one line and
+exits 130.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ OVERHEAD_LIMIT_PCT = 15.0
 def _ensure_parent(path: str) -> None:
     """Create an output path's parent directory if it is missing.
 
-    All obs CLI output paths go through here (the PR 3 error-path
-    contract: never a traceback — a genuinely uncreatable parent
-    surfaces as OSError, which main() turns into a one-line exit 1).
+    All obs CLI output paths go through here. A genuinely uncreatable
+    parent surfaces as OSError, which run_cli turns into a one-line
+    exit 1, never a traceback.
     """
     parent = os.path.dirname(path)
     if parent:
@@ -612,29 +614,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "audit" and args.workloads is None:
         from repro.lfds import WORKLOAD_NAMES
         args.workloads = list(WORKLOAD_NAMES)
-    try:
-        if args.command == "trace":
-            return cmd_trace(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "audit":
-            return cmd_audit(args)
-        if args.command == "provenance":
-            return cmd_provenance(args)
-        if args.command == "flame":
-            return cmd_flame(args)
-        if args.command == "diff":
-            return cmd_diff(args)
-        if args.command == "slo":
-            return cmd_slo(args)
-        if args.command == "overhead":
-            return cmd_overhead(args)
-    except (ValueError, OSError) as exc:
-        # Operator errors (unknown mechanism/workload, unwritable or
-        # missing file, export without the requested data) get a
-        # one-line diagnostic, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.command == "trace":
+        return cmd_trace(args)
+    if args.command == "report":
+        return cmd_report(args)
+    if args.command == "audit":
+        return cmd_audit(args)
+    if args.command == "provenance":
+        return cmd_provenance(args)
+    if args.command == "flame":
+        return cmd_flame(args)
+    if args.command == "diff":
+        return cmd_diff(args)
+    if args.command == "slo":
+        return cmd_slo(args)
+    if args.command == "overhead":
+        return cmd_overhead(args)
     parser.print_help()
     return 2
 

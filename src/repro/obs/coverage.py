@@ -3,15 +3,16 @@
 Uniform crash sampling misses rare interleaving x crash-point bugs
 because it has no notion of whether a mutated run *did anything new*.
 This module gives the fuzzer that signal: a :class:`CoverageMap` is a
-set of **features** harvested from the (opt-in, bit-identical)
-:class:`~repro.obs.Observer` export of a run —
+set of **features** harvested from a run's ``RunStats`` and the
+(opt-in, bit-identical) :class:`~repro.obs.Observer` export —
 
 * ``persist`` features — one per observed ``(trigger, site)`` pair of
   the provenance capture (which coherence/persistency event persisted
-  which workload step's line);
+  which workload step's line; a ``downgrade`` or ``eviction`` trigger
+  marks a dirty line leaving by that transition);
 * ``stall`` features — one per ``(reason, site)`` stall charge pair;
-* ``coh`` features — the coherence transitions the metrics layer
-  counts (downgrades, dirty downgrades, evictions, invalidations);
+* ``coh`` features — the run's coherence transition totals from
+  ``RunStats`` (downgrades, evictions, invalidations);
 * ``edge`` features — release->acquire happens-before edges enforced
   by coherence-triggered persists, by (owner, requester) core pair;
 * ``order`` features — adjacent ``site -> site`` pairs in the global
@@ -36,13 +37,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Metrics counters harvested as coherence-transition features.
-_COH_COUNTERS = (
-    "coh.downgrades",
-    "coh.downgrades_dirty",
-    "coh.evictions",
-    "coh.evictions_dirty",
-    "coh.invalidations",
+from repro.common.stats import RunStats
+
+#: Coherence-transition features: feature name -> the ``CoreStats``
+#: field summed over the run's cores.
+_COH_TOTALS = (
+    ("coh.downgrades", "downgrades_received"),
+    ("coh.evictions", "evictions"),
+    ("coh.invalidations", "invalidations_received"),
 )
 
 
@@ -95,19 +97,19 @@ class CoverageMap:
         return cls(features)
 
 
-def coverage_from_obs(export: Dict[str, object]) -> CoverageMap:
-    """Build a run's coverage map from an ``Observer.export()`` dump.
+def coverage_from_obs(export: Dict[str, object],
+                      stats: RunStats) -> CoverageMap:
+    """Build a run's coverage map from its ``RunStats`` and its
+    ``Observer.export()`` dump.
 
-    Uses whatever layers the export carries: metrics counters always,
-    provenance persist/stall/edge features when the run collected
-    provenance (the fuzzer always does).
+    The coherence totals come from ``stats``; the persist, stall, edge
+    and order features from the export's provenance, when the run
+    collected it (the fuzzer always does).
     """
     cov = CoverageMap()
-    metrics = export.get("metrics") or {}
-    counters = metrics.get("counters", {}) if isinstance(metrics, dict) \
-        else {}
-    for name in _COH_COUNTERS:
-        cov.add_count("coh", name, count=int(counters.get(name, 0)))
+    for name, field in _COH_TOTALS:
+        cov.add_count("coh", name, count=sum(
+            getattr(core, field) for core in stats.per_core))
 
     provenance = export.get("provenance")
     if isinstance(provenance, dict):

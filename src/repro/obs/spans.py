@@ -24,10 +24,10 @@ times and the durable point are reconstructed *post hoc* by
 keeps makespans bit-identical with span tracking on (pinned by
 ``tests/test_kvservice.py``).
 
-Spans are opt-in (``Observer(spans=True)``) and the tracker is a
-FastObs-style flat table: two plain per-thread ``list.append`` calls
-per *request* (not per op) in the loop, everything else derived at
-read time.
+Spans are opt-in (``Observer(spans=True)``) and the tracker is a pair
+of flat per-thread lists: two plain ``list.append`` calls per
+*request* (not per op) in the loop, everything else derived at read
+time.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ class ARPMechanism(PersistencyMechanism):
         self.stats[core].writebacks_total += 1
         obs = self.obs
         if obs is not None:
-            obs.count("arp.word_persists")
             obs.span(f"nvm-ch{self.nvm.channel_for(line_addr)}",
                      f"persist c{core}", record.issue_time,
                      record.complete_time - record.issue_time,
@@ -92,8 +91,6 @@ class ARPMechanism(PersistencyMechanism):
                                     self._open_ack[sync_source])
         if self._release_flag[core] or chain_from_source:
             self.stats[core].barrier_count += 1
-            if self.obs is not None:
-                self.obs.count("arp.acquire_barriers")
             self._closed_ack[core] = max(self._closed_ack[core],
                                          self._open_ack[core],
                                          chain_from_source)

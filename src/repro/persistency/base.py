@@ -61,12 +61,6 @@ class PersistencyMechanism:
         self._issued: List[List[Tuple[int, PersistRecord]]] = [
             [] for _ in range(config.num_cores)
         ]
-        # Stall counter names, built once per reason: name building
-        # and method dispatch per event are measurable at paper scale
-        # (the telemetry gate `python -m repro.obs overhead`), so the
-        # hot sites below write straight into the counter dict.
-        if obs is not None:
-            self._stall_count_names: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Hooks (override in subclasses). All times are absolute cycles.
@@ -155,20 +149,27 @@ class PersistencyMechanism:
         self._issued[core].append((epoch, record))
         self.stats[core].persists_issued += 1
         self.stats[core].writebacks_total += 1
+        if self.obs is not None:
+            self._narrate_persists(core, (record,), trigger, edge)
+        return record
+
+    def _narrate_persists(self, core: int,
+                          records: Iterable[PersistRecord], trigger: str,
+                          edge: Optional[Tuple[int, int]]) -> None:
+        """Each line persist's trace span and provenance note, in issue
+        order; nothing without an observer."""
         obs = self.obs
-        if obs is not None:
-            counters = obs.counters
-            counters["persist.lines"] = counters.get("persist.lines",
-                                                     0) + 1
+        if obs is None:
+            return
+        for record in records:
             if obs.trace is not None:
-                channel = self.nvm.channel_for(line.addr)
+                channel = self.nvm.channel_for(record.line_addr)
                 obs.span(f"nvm-ch{channel}", f"persist c{core}",
                          record.issue_time,
                          record.complete_time - record.issue_time,
                          cat="persist")
             if obs.provenance is not None:
                 obs.provenance.note_persist(core, record, trigger, edge)
-        return record
 
     def _issue_lines(self, core: int, lines: Iterable[CacheLine],
                      now: int, *, after: int = 0,
@@ -180,22 +181,18 @@ class PersistencyMechanism:
 
         Bit-identical to calling :meth:`_issue_line` per line in order
         (the batch shares the ``after``/``ordered_after`` constraints,
-        so the channel accounting has a closed form). With an observer
-        attached the per-line path is kept, so every obs/provenance
-        callback fires in exactly the order it always did.
+        so the channel accounting has a closed form). Each record is
+        narrated after the batch, in issue order: a persist's trace
+        span and provenance note read only that record and its own
+        line's entry, so they come out as the per-line path's do.
         """
         dirty = [line for line in lines if line.pending_words]
         if not dirty:
             return []
-        if self.obs is not None or len(dirty) < 2:
-            records = []
-            for line in dirty:
-                record = self._issue_line(core, line, now, after=after,
-                                          ordered_after=ordered_after,
-                                          trigger=trigger, edge=edge)
-                if record is not None:
-                    records.append(record)
-            return records
+        if len(dirty) < 2:
+            return [self._issue_line(core, dirty[0], now, after=after,
+                                     ordered_after=ordered_after,
+                                     trigger=trigger, edge=edge)]
         epochs = []
         items = []
         for line in dirty:
@@ -213,6 +210,7 @@ class PersistencyMechanism:
         stats = self.stats[core]
         stats.persists_issued += len(records)
         stats.writebacks_total += len(records)
+        self._narrate_persists(core, records, trigger, edge)
         return records
 
     def _wait_for(self, waiter: int, now: int,
@@ -253,14 +251,6 @@ class PersistencyMechanism:
                 stats.stall_reasons.get(reason, 0) + stall)
             obs = self.obs
             if obs is not None:
-                # Same value as the stats charge, so the obs stall
-                # counters reconcile with persist_stall_cycles exactly.
-                name = self._stall_count_names.get(reason)
-                if name is None:
-                    name = self._stall_count_names[reason] = \
-                        f"stall.{reason}"
-                counters = obs.counters
-                counters[name] = counters.get(name, 0) + stall
                 if obs.trace is not None:
                     obs.span(f"stall-c{waiter}", reason, now, stall,
                              cat="stall")
@@ -275,10 +265,9 @@ class PersistencyMechanism:
         issuer = self._record_core.get(record.issue_seq)
         if issuer is not None:
             self.stats[issuer].writebacks_critical += 1
-            if self.obs is not None:
-                self.obs.count("persist.critical_writebacks")
-                if self.obs.provenance is not None:
-                    self.obs.provenance.note_critical(record.issue_seq)
+            obs = self.obs
+            if obs is not None and obs.provenance is not None:
+                obs.provenance.note_critical(record.issue_seq)
 
     def _inflight_record(self, core: int, line_addr: int,
                          now: int) -> Optional[PersistRecord]:

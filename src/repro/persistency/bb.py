@@ -129,8 +129,6 @@ class BBMechanism(PersistencyMechanism):
         of barriers throttles on the oldest epoch's drain.
         """
         self.stats[core].barrier_count += 1
-        if self.obs is not None:
-            self.obs.count("bb.barriers")
         epoch_ack = self._flush_open(core, now)
         self._epoch[core] += 1
         acks = self._epoch_acks[core]
@@ -171,7 +169,6 @@ class BBMechanism(PersistencyMechanism):
         self._open[core].clear()
         ack = self._chain_ack(core)
         if self.obs is not None and flushed:
-            self.obs.count("bb.epoch_flushes")
             self.obs.span(f"epochs-c{core}", f"epoch {self._epoch[core]}",
                           now, max(0, ack - now), cat="epoch-drain",
                           args={"lines": flushed})

@@ -260,7 +260,6 @@ class LRPMechanism(PersistencyMechanism):
             self._release_tail[core] = record
             ready = max(ready, record.complete_time)
         if self.obs is not None:
-            self.obs.count("lrp.engine_runs")
             self.obs.span(f"engine-c{core}", "persist-engine", now,
                           max(0, ready - now), cat="epoch-drain",
                           args={"persists": len(records)})
@@ -276,8 +275,6 @@ class LRPMechanism(PersistencyMechanism):
             # Epoch-id overflow: persist all not-yet-persisted lines
             # (ordered), then restart the epochs.
             self.stats_epoch_wraps += 1
-            if self.obs is not None:
-                self.obs.count("lrp.epoch_wraps")
             self._drain_core(core, now, trigger="epoch-wrap")
             self._epoch[core] = 1
 
@@ -285,8 +282,6 @@ class LRPMechanism(PersistencyMechanism):
         """RET at watermark: persist the oldest release, off-path."""
         while len(self._ret[core]) >= self.config.ret_watermark:
             self.stats_ret_watermark_drains += 1
-            if self.obs is not None:
-                self.obs.count("lrp.ret_watermark_drains")
             oldest_addr = next(iter(self._ret[core]))
             oldest_line = self._pending[core].get(oldest_addr)
             if oldest_line is None or not oldest_line.is_released:

@@ -113,8 +113,6 @@ class SBMechanism(PersistencyMechanism):
         durable when it completes.
         """
         self.stats[core].barrier_count += 1
-        if self.obs is not None:
-            self.obs.count("sb.barriers")
         records = list(self._issue_lines(
             core, list(self._pending[core].values()), now, trigger=trigger))
         self._pending[core].clear()

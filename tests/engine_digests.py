@@ -104,21 +104,10 @@ def fingerprint(result, record) -> str:
     return h.hexdigest()
 
 
-#: The one counter family an export keeps: the per-core compute
-#: cycles of the attribution report.
-KEPT_COUNTERS = "sched.compute_cycles."
-
-
 def _with_export(digest, observer) -> str:
-    """``digest`` extended by the observer's export as JSON, with the
-    counters cut to ``sched.compute_cycles.*``."""
-    export = observer.export()
-    counters = export["metrics"]["counters"]
-    export["metrics"]["counters"] = {
-        name: value for name, value in counters.items()
-        if name.startswith(KEPT_COUNTERS)}
+    """``digest`` extended by the observer's export as JSON."""
     return hashlib.sha256(
-        (digest + json.dumps(export, sort_keys=True)).encode()
+        (digest + json.dumps(observer.export(), sort_keys=True)).encode()
     ).hexdigest()
 
 

@@ -29,7 +29,7 @@ figure is computed as ``python -m repro.bench.figures`` computes it,
 through a serial runner with no result cache; the three ablations,
 which that command does not run, call ``simulate`` directly. The
 Figure 6 counts are checked against the telemetry-on Figure 5 pass of
-``tests/test_fastobs.py``; the other entries by
+``tests/test_fastsim.py``; the other entries by
 ``tests/test_figure_pins.py``.
 
 Regenerate (only when a figure is meant to change) with::

@@ -143,15 +143,3 @@ class TestAuditCLI:
         assert rc == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_unknown_mechanism_is_one_line(self, capsys):
-        rc = obs_main(["audit", "--mechanism", "bogus",
-                       "--workloads", "hashmap"] + AUDIT_ARGS)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
-
-    def test_unknown_workload_is_one_line(self, capsys):
-        rc = obs_main(["audit", "--workloads", "nosuch"] + AUDIT_ARGS)
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")

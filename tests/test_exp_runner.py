@@ -329,38 +329,61 @@ class TestCacheCLI:
                             str(tmp_path)) == 2
 
 
-#: Bad input to the CLIs that run through ``run_cli``.
+#: Small workload arguments of the ``repro.obs`` cases.
+OBS_ARGS = ["--threads", "4", "--size", "48", "--ops", "8"]
+
+#: Bad input to the CLIs, with the exit status each must end in.
+#: ``repro.mc`` keeps status 2, the one argparse gives usage errors.
 BAD_INPUTS = {
-    "fuzz-replay-missing": ["repro.fuzz", "--replay", "missing.json"],
-    "fuzz-replay-malformed": ["repro.fuzz", "--replay", "malformed.json"],
-    "fuzz-replay-list": ["repro.fuzz", "--replay", "list.json"],
-    "fuzz-replay-no-fields": ["repro.fuzz", "--replay", "fieldless.json"],
-    "fuzz-budget-0": ["repro.fuzz", "--budget", "0"],
-    "fuzz-unknown-mechanism": ["repro.fuzz", "--mechanism", "bogus"],
-    "fuzz-unknown-workload": ["repro.fuzz", "--workload", "bogus"],
-    "figures-jobs-0": ["repro.bench.figures", "--jobs", "0"],
-    "bench-jobs-0": ["repro.bench", "--jobs", "0"],
-    "prune-bad-age": ["repro.exp", "cache", "prune", "--older-than", "abc"],
-    "prune-bad-size": ["repro.exp", "cache", "prune", "--max-bytes", "5X"],
+    "fuzz-replay-missing": (["repro.fuzz", "--replay", "missing.json"], 1),
+    "fuzz-replay-malformed": (
+        ["repro.fuzz", "--replay", "malformed.json"], 1),
+    "fuzz-replay-list": (["repro.fuzz", "--replay", "list.json"], 1),
+    "fuzz-replay-no-fields": (
+        ["repro.fuzz", "--replay", "fieldless.json"], 1),
+    "fuzz-budget-0": (["repro.fuzz", "--budget", "0"], 1),
+    "fuzz-unknown-mechanism": (["repro.fuzz", "--mechanism", "bogus"], 1),
+    "fuzz-unknown-workload": (["repro.fuzz", "--workload", "bogus"], 1),
+    "figures-jobs-0": (["repro.bench.figures", "--jobs", "0"], 1),
+    "bench-jobs-0": (["repro.bench", "--jobs", "0"], 1),
+    "prune-bad-age": (
+        ["repro.exp", "cache", "prune", "--older-than", "abc"], 1),
+    "prune-bad-size": (
+        ["repro.exp", "cache", "prune", "--max-bytes", "5X"], 1),
+    "obs-audit-unknown-mechanism": (
+        ["repro.obs", "audit", "--mechanism", "bogus",
+         "--workloads", "hashmap", *OBS_ARGS], 1),
+    "obs-audit-unknown-workload": (
+        ["repro.obs", "audit", "--workloads", "nosuch", *OBS_ARGS], 1),
+    "obs-flame-unwritable-output": (
+        ["repro.obs", "flame", "blocker/flame.folded",
+         "--mechanism", "lrp", *OBS_ARGS], 1),
+    "obs-slo-unknown-mechanism": (
+        ["repro.obs", "slo", "--mechanisms", "nope"], 1),
+    "mc-unknown-program": (["repro.mc", "--program", "nope"], 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_one_line_error(tmp_path, case):
-    """Bad option values and unreadable input files end in one
-    ``prog: error: ...`` line on stderr, never a traceback."""
+    """Bad option values, unknown names and unreadable or unwritable
+    files end in one ``prog: error: ...`` line on stderr, never a
+    traceback."""
     (tmp_path / "malformed.json").write_text("{not json")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "fieldless.json").write_text(
         '{"format": "repro-fuzz-repro-v1"}')
+    (tmp_path / "blocker").write_text("not a directory\n")
+    argv, status = BAD_INPUTS[case]
     done = subprocess.run(
-        [sys.executable, "-m", *BAD_INPUTS[case]],
+        [sys.executable, "-m", *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
              "REPRO_EXP_CACHE_DIR": str(tmp_path / "cache")},
         cwd=str(tmp_path), capture_output=True, text=True, timeout=120)
     lines = done.stderr.splitlines()
-    assert done.returncode == 1, lines
-    assert len(lines) == 1 and ": error: " in lines[0], lines
+    assert done.returncode == status, lines
+    assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: error: "), \
+        lines
     assert "Traceback" not in done.stderr
 
 

@@ -6,7 +6,7 @@ The pins (``tests/data/figure_pins.json``, written by
 exact: a change that moves one makespan, writeback or persist count,
 RET drain or recovery verdict by one fails here. Figure 5's makespans
 are pinned by ``BENCH_figures.json`` and Figure 6's counts by the
-telemetry-on Figure 5 pass in ``tests/test_fastobs.py``;
+telemetry-on Figure 5 pass in ``tests/test_fastsim.py``;
 ``tests/test_figure_shapes.py`` asserts the paper's claims on both.
 """
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.common.params import MachineConfig
 from repro.common.rng import make_rng
+from repro.common.stats import CoreStats, RunStats
 from repro.core.simulator import simulate
 from repro.exp.runner import Job, execute_job
 from repro.fuzz.corpus import Corpus, CorpusEntry, load_coverage
@@ -87,9 +88,12 @@ class TestCoverageMap:
         assert len(cov) == 0
 
     def test_harvest_from_synthetic_export(self):
+        stats = RunStats(mechanism="lrp", workload="hashmap",
+                         num_threads=2,
+                         per_core=[CoreStats(downgrades_received=3),
+                                   CoreStats(downgrades_received=2)])
         export = {
-            "metrics": {"counters": {"coh.downgrades": 5},
-                        "histograms": {}},
+            "metrics": {"counters": {}},
             "provenance": {
                 "persists": [
                     {"seq": 0, "trigger": "release", "site": "s.a"},
@@ -99,9 +103,11 @@ class TestCoverageMap:
                 "stalls": [["s.a", "drain", 40, 2]],
             },
         }
-        cov = coverage_from_obs(export)
+        cov = coverage_from_obs(export, stats)
         features = cov.to_list()
         assert "coh|coh.downgrades|b4" in features
+        # Transitions that never happened add no feature.
+        assert not [f for f in features if f.startswith("coh|coh.ev")]
         assert "persist|release|s.a|b1" in features
         assert "persist|downgrade|s.b|b1" in features
         assert "edge|downgrade|0|1|b1" in features
@@ -120,7 +126,12 @@ class TestCoverageMap:
                 "stalls": [],
             },
         }
-        assert "order|early|late|b1" in coverage_from_obs(export).to_list()
+        stats = RunStats(mechanism="lrp", workload="hashmap",
+                         num_threads=1,
+                         per_core=[CoreStats(evictions=1)])
+        features = coverage_from_obs(export, stats).to_list()
+        assert "order|early|late|b1" in features
+        assert "coh|coh.evictions|b1" in features
 
 
 class TestScheduleMutation:

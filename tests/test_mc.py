@@ -366,4 +366,4 @@ class TestCLI:
                              "--mechanism", "arp", "--quiet",
                              "--out", str(blocker / "sub")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("repro.mc: error: ") and err.count("\n") == 1

@@ -174,14 +174,15 @@ class TestTraceExport:
 
 class TestCounters:
     def test_count_accumulates(self):
+        """A run's counters export as ``{"metrics": {"counters": ...}}``,
+        sorted by name: one compute-cycle total per core."""
         observer = Observer()
-        observer.count("stall.barrier", 10)
-        observer.count("stall.barrier", 5)
-        observer.count("persist.lines")
-        assert observer.counters == {"stall.barrier": 15,
-                                     "persist.lines": 1}
-        assert observer.export() == {"metrics": {"counters": {
-            "persist.lines": 1, "stall.barrier": 15}}}
+        simulate(tiny_spec(), "sb", tiny_config(), observer=observer)
+        counters = observer.counters
+        assert sorted(counters) == [f"sched.compute_cycles.c{core}"
+                                    for core in range(4)]
+        assert observer.export() == {"metrics": {"counters": dict(
+            sorted(counters.items()))}}
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +196,8 @@ class TestAttribution:
         attribution = attribute_run(observed.stats,
                                     observer.counters)
         assert (attribution.persist_stall_total
-                == observed.stats.persist_stall_cycles)
+                == observed.stats.persist_stall_cycles
+                == sum(observed.stats.stall_breakdown().values()))
 
     @pytest.mark.parametrize("mech", MECHANISMS)
     def test_segments_sum_to_makespan(self, runs, mech):

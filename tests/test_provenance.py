@@ -318,15 +318,6 @@ class TestCLI:
         assert gap["persists"]["avoided"] > 0
         assert "first divergence" in capsys.readouterr().out
 
-    def test_flame_unwritable_output_exits_one(self, tmp_path, capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory\n")
-        out = str(blocker / "flame.folded")
-        rc = obs_main(["flame", out, "--mechanism", "lrp"] + ARGS)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
 
 
 class TestCommittedCaptures:
