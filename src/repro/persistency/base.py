@@ -157,10 +157,8 @@ class PersistencyMechanism:
                           records: Iterable[PersistRecord], trigger: str,
                           edge: Optional[Tuple[int, int]]) -> None:
         """Each line persist's trace span and provenance note, in issue
-        order; nothing without an observer."""
+        order (called only with an observer attached)."""
         obs = self.obs
-        if obs is None:
-            return
         for record in records:
             if obs.trace is not None:
                 channel = self.nvm.channel_for(record.line_addr)
@@ -210,7 +208,8 @@ class PersistencyMechanism:
         stats = self.stats[core]
         stats.persists_issued += len(records)
         stats.writebacks_total += len(records)
-        self._narrate_persists(core, records, trigger, edge)
+        if self.obs is not None:
+            self._narrate_persists(core, records, trigger, edge)
         return records
 
     def _wait_for(self, waiter: int, now: int,

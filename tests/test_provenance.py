@@ -319,7 +319,6 @@ class TestCLI:
         assert "first divergence" in capsys.readouterr().out
 
 
-
 class TestCommittedCaptures:
     """``examples/obs/hashmap-{bb,lrp}.provenance.json`` are the output
     of ``python -m repro.obs provenance OUT --mechanism M`` with the
