@@ -28,7 +28,7 @@ test:
 # Fast feedback loop: skip the tests marked @pytest.mark.slow
 # (recovery campaigns, hypothesis property sweeps, cross-mechanism
 # interleaving checks, and the cold recomputation of the figure pins
-# in tests/test_figure_pins.py, which only `make test` runs). Three
+# in tests/test_figure_pins.py, which only `make test` runs). Four
 # contracts always run here because none of their tests is marked
 # slow; keep it that way:
 # - the figure shape contracts (tests/test_figure_shapes.py: the
@@ -42,7 +42,11 @@ test:
 #   Ctrl-C on a pooled `repro.bench` run or a serial `repro.fuzz` or
 #   `repro.obs slo` run, as on `figures`, ends in one stderr line and
 #   exit status 130; test_bad_input_is_one_line_error in the same file:
-#   bad input to any CLI ends in one `prog: error: ...` line).
+#   bad input to any CLI ends in one `prog: error: ...` line);
+# - the shared-baseline invariant (tests/test_shared_baseline.py: runs,
+#   crash campaigns, both final-state oracles and the SLO report leave
+#   the setup prototype's image unchanged, and runs and crash images
+#   keep only the words they write or persist).
 smoke:
 	$(PYTEST) -q -m "not slow"
 

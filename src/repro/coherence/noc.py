@@ -20,17 +20,17 @@ class MeshNoC:
         self._dim = config.mesh_dim
         self._line_shift = config.line_offset_bits
         self._num_cores = config.num_cores
-        # Hop counts and latencies are pure functions of (tile, tile);
-        # the miss path asks for latencies several times per miss, so
-        # flatten both matrices once (num_cores^2 entries, tiny) and
-        # index them.
+        # Latency is a pure function of (tile, tile) and the miss path
+        # asks for it several times per miss, so flatten the matrix
+        # once (num_cores^2 entries, tiny) and index it. A tile sits at
+        # (tile % dim, tile // dim); the hop count is the Manhattan
+        # distance.
         dim = self._dim
         hop = config.noc_hop_cycles
-        self._hop_table = [
-            abs(a % dim - b % dim) + abs(a // dim - b // dim)
+        self._latency_table = [
+            (abs(a % dim - b % dim) + abs(a // dim - b // dim)) * hop + 1
             for a in range(self._num_cores) for b in range(self._num_cores)
         ]
-        self._latency_table = [hops * hop + 1 for hops in self._hop_table]
 
     @property
     def dim(self) -> int:
@@ -39,10 +39,6 @@ class MeshNoC:
     def home_tile(self, line_addr: int) -> int:
         """The tile whose LLC bank/directory owns this line."""
         return (line_addr >> self._line_shift) % self._num_cores
-
-    def hop_distance(self, tile_a: int, tile_b: int) -> int:
-        """Manhattan distance between two tiles on the mesh."""
-        return self._hop_table[tile_a * self._num_cores + tile_b]
 
     def latency(self, tile_a: int, tile_b: int) -> int:
         """One-way message latency between two tiles."""

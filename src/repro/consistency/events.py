@@ -16,6 +16,11 @@ aggregate statistics and the NVM persist log, so they skip the
 per-event storage. Event ids, architectural memory, reads-from edges
 and synchronizes-with metadata are maintained identically either way —
 only the retained ``events`` list differs.
+
+The architectural memory is two dicts: the initial image, which the
+trace never writes (a memoized setup image is shared by every run of
+its prototype), and the words the run has written, which it reads
+first.
 """
 
 from __future__ import annotations
@@ -154,6 +159,7 @@ class Trace:
         self.record = record
         self._events: List[MemoryEvent] = []
         self._count = 0
+        # The words the run wrote; every other word reads _initial.
         self._memory: Dict[int, Word] = {}
         self._last_writer: Dict[int, int] = {}
         # word addr -> (writer thread, writer was a release); mirrors
@@ -174,22 +180,25 @@ class Trace:
         return self._events
 
     def initialize(self, values: Dict[int, Word], *,
-                   share: bool = False) -> None:
-        """Install initial memory values (no events are recorded).
+                   share: bool = False) -> Dict[int, Word]:
+        """Install initial memory values (no events are recorded);
+        returns the initial image the trace now reads.
 
-        With ``share`` the caller promises never to mutate ``values``
-        again: the trace adopts the dict as its (read-only) initial
-        image directly, paying only the one copy into the mutable
-        architectural memory. Lets a memoized setup image be reused
-        across runs.
+        The trace never writes its initial image. With ``share`` the
+        caller promises never to mutate ``values`` again, and the first
+        install adopts the dict itself, so a memoized setup image serves
+        every run. Any other install takes a merged copy, and an
+        adopted dict stays as it was.
         """
         if self._count:
             raise ValueError("initialize before recording events")
-        self._memory.update(values)
         if share and not self._initial:
             self._initial = values
         else:
-            self._initial.update(values)
+            merged = dict(self._initial)
+            merged.update(values)
+            self._initial = merged
+        return self._initial
 
     def initial_value(self, addr: int) -> Word:
         return self._initial.get(addr)
@@ -201,10 +210,13 @@ class Trace:
     def record_read(self, thread_id: int, addr: int,
                     order: MemOrder = MemOrder.PLAIN) -> MemoryEvent:
         """Record a load; returns the event (with the observed value)."""
+        memory = self._memory
+        observed = (memory[addr] if addr in memory
+                    else self._initial.get(addr))
         source = self._writer_meta.get(addr)
         event = MemoryEvent(
             self._count, thread_id, _READ_EVENT, order, addr,
-            None, self._memory.get(addr), self._last_writer.get(addr),
+            None, observed, self._last_writer.get(addr),
             True,
             source[0] if source else None,
             source[1] if source else False,
@@ -233,7 +245,9 @@ class Trace:
                    new_value: Word,
                    order: MemOrder = MemOrder.ACQ_REL) -> MemoryEvent:
         """Record a compare-and-swap; the write performs iff it matches."""
-        observed = self._memory.get(addr)
+        memory = self._memory
+        observed = (memory[addr] if addr in memory
+                    else self._initial.get(addr))
         success = observed == expected
         source = self._writer_meta.get(addr)
         count = self._count
@@ -248,7 +262,7 @@ class Trace:
         if self.record:
             self._events.append(event)
         if success:
-            self._memory[addr] = new_value
+            memory[addr] = new_value
             self._last_writer[addr] = count
             self._writer_meta[addr] = (
                 thread_id, order is _RELEASE or order is _ACQ_REL)
@@ -259,7 +273,9 @@ class Trace:
                                  order: MemOrder = MemOrder.ACQ_REL
                                  ) -> MemoryEvent:
         """Record an atomic exchange (always-successful RMW)."""
-        observed = self._memory.get(addr)
+        memory = self._memory
+        observed = (memory[addr] if addr in memory
+                    else self._initial.get(addr))
         source = self._writer_meta.get(addr)
         count = self._count
         event = MemoryEvent(
@@ -271,7 +287,7 @@ class Trace:
         self._count = count + 1
         if self.record:
             self._events.append(event)
-        self._memory[addr] = new_value
+        memory[addr] = new_value
         self._last_writer[addr] = count
         self._writer_meta[addr] = (
             thread_id, order is _RELEASE or order is _ACQ_REL)
@@ -283,11 +299,20 @@ class Trace:
 
     def load(self, addr: int) -> Word:
         """Current architectural value of ``addr``."""
-        return self._memory.get(addr)
+        memory = self._memory
+        if addr in memory:
+            return memory[addr]
+        return self._initial.get(addr)
+
+    def written(self) -> Dict[int, Word]:
+        """Copy of the words the run has written, with their values."""
+        return dict(self._memory)
 
     def memory_snapshot(self) -> Dict[int, Word]:
         """Copy of the full architectural memory."""
-        return dict(self._memory)
+        snapshot = dict(self._initial)
+        snapshot.update(self._memory)
+        return snapshot
 
     def writes(self) -> List[MemoryEvent]:
         """All events with a write effect, in execution order."""

@@ -124,8 +124,11 @@ def _run(scheduler) -> int:
     threads = scheduler.threads
     stats_list = machine.stats
     trace = machine.trace
+    # A read probes the words the run wrote, then the shared initial
+    # image (Trace.load inlined).
     memory = trace._memory
-    memory_get = memory.get
+    initial = trace._initial
+    initial_get = initial.get
     # With recording off the per-read MemoryEvent is pure overhead
     # (nothing retains it); with recording on every event must exist.
     fast_reads = not trace.record
@@ -295,10 +298,13 @@ def _run(scheduler) -> int:
                 if inline_reads:
                     stats.reads += 1
                     ev_count += 1
-                    try:
+                    if addr in memory:
                         result = memory[addr]
-                    except KeyError:
-                        result = None  # uninitialized word reads as None
+                    else:
+                        try:
+                            result = initial[addr]
+                        except KeyError:
+                            result = None  # an uninitialized word
                     order = op.order
                     if order is _ACQUIRE or order is _ACQ_REL:
                         stats.acquires += 1
@@ -315,7 +321,8 @@ def _run(scheduler) -> int:
                                            or order is _ACQ_REL):
                         stats.reads += 1
                         ev_count += 1
-                        result = memory_get(addr)
+                        result = (memory[addr] if addr in memory
+                                  else initial_get(addr))
                     else:
                         trace._count = ev_count
                         result, latency = do_read(tid, op, clock, latency)

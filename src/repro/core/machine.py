@@ -463,13 +463,18 @@ class Machine:
         become both architectural memory and the NVM baseline image, as
         if a quiesced checkpoint had been taken (Section 6.1: "the data
         structure size refers to the initial number of nodes ... before
-        statistics are collected"). ``walks`` is the walk store kept
-        beside shared ``words`` (:meth:`NVMController.set_baseline_image`).
+        statistics are collected"). The trace and the NVM read one
+        initial image and never write it (:meth:`Trace.initialize`
+        says when that is ``words`` itself). ``walks`` is the walk
+        store kept beside shared ``words``
+        (:meth:`NVMController.set_baseline_image`); it goes with no
+        other image.
         """
         if len(self.trace):
             raise ValueError("install initial state before executing ops")
-        self.trace.initialize(words, share=share)
-        self.nvm.set_baseline_image(words, share=share, walks=walks)
+        initial = self.trace.initialize(words, share=share)
+        self.nvm.set_baseline_image(
+            initial, share=True, walks=walks if initial is words else None)
 
     def finish(self, now: int) -> int:
         """End of run: drain everything so all writes become durable."""

@@ -71,7 +71,8 @@ def recover_and_continue(result: SimulationResult, prefix_len: int, *,
 
     config = config or result.config
     machine = Machine(config, mechanism)
-    machine.install_initial_state(image)
+    # A copy of its own, which nothing else holds, can be shared.
+    machine.install_initial_state(image.copy(), share=True)
 
     key_range = result.spec.effective_key_range
     results: List[object] = []

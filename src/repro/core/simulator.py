@@ -41,11 +41,12 @@ from repro.workloads.harness import (
 # on the fields below, so it is memoized: each run gets a deepcopy of
 # the prototype structure (cheap — LFDs hold scalars and allocators,
 # never the word image) and *shares* the frozen memory image
-# (installed with share=True; the trace still takes its own mutable
-# copy of the architectural memory). Beside the pair sits the image's
-# walk store (repro.memory.nvm.CrashImage): crash campaigns over runs
-# of one prototype validate its unchanged baseline once per structure
-# layout, and the store goes when the prototype does.
+# (installed with share=True). Nothing writes that image: the run's
+# trace keeps the words it writes, and each crash image the words its
+# persists carry, over it. Beside the pair sits the image's walk store
+# (repro.memory.nvm.CrashImage): crash campaigns over runs of one
+# prototype validate its unchanged baseline once per structure layout,
+# and the store goes when the prototype does.
 
 _PROTO_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _PROTO_CACHE_MAX = 8
@@ -123,13 +124,17 @@ class SimulationResult:
 
     def verify_durable_final_state(self) -> None:
         """Assert the drained NVM image equals the architectural state
-        for every word the measured phase wrote."""
+        for every word the measured phase wrote or persisted.
+
+        Both read one initial image under their own words, so only a
+        word that the run wrote or that a persist carried can differ,
+        and only those are compared.
+        """
         image = self.nvm.final_image()
-        memory = self.trace.memory_snapshot()
-        stale = [
-            addr for addr, value in memory.items()
-            if image.get(addr) != value
-        ]
+        trace = self.trace
+        stale = sorted(
+            addr for addr in set(image.overlay).union(trace.written())
+            if image.get(addr) != trace.load(addr))
         if stale:
             raise AssertionError(
                 f"{len(stale)} words differ between NVM and memory "

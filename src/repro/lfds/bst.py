@@ -168,9 +168,10 @@ class BinarySearchTree(LogFreeStructure):
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
         problems: List[str] = []
+        get = image.get
         live: Set[int] = set()
         count = 0
-        root = image.get(self.root_ptr)
+        root = get(self.root_ptr)
         if root is None:
             problems.append(f"root pointer {self.root_ptr:#x} not in NVM")
             root = NULL
@@ -183,11 +184,11 @@ class BinarySearchTree(LogFreeStructure):
             if count > self._max_nodes:
                 problems.append("tree exceeds node bound (cycle?)")
                 break
-            key = image.get(field(node, KEY))
-            value = image.get(field(node, VALUE))
-            left = image.get(field(node, LEFT))
-            right = image.get(field(node, RIGHT))
-            alive = image.get(field(node, ALIVE))
+            key = get(field(node, KEY))
+            value = get(field(node, VALUE))
+            left = get(field(node, LEFT))
+            right = get(field(node, RIGHT))
+            alive = get(field(node, ALIVE))
             if None in (key, value, left, right, alive):
                 problems.append(
                     f"node {node:#x} is linked into the tree but its "

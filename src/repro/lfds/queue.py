@@ -144,10 +144,11 @@ class MichaelScottQueue(LogFreeStructure):
 
     def validate_image(self, image: Dict[int, Word]) -> RecoveryReport:
         problems: List[str] = []
+        get = image.get
         count = 0
         values: Set[int] = set()
-        head = image.get(self.head_ptr)
-        tail = image.get(self.tail_ptr)
+        head = get(self.head_ptr)
+        tail = get(self.tail_ptr)
         if head is None:
             problems.append("head pointer never persisted")
         if tail is None:
@@ -164,8 +165,8 @@ class MichaelScottQueue(LogFreeStructure):
             if count > max_nodes:
                 problems.append("queue chain exceeds bound (cycle?)")
                 break
-            value = image.get(field(curr, VALUE))
-            nxt = image.get(field(curr, NEXT))
+            value = get(field(curr, VALUE))
+            nxt = get(field(curr, NEXT))
             if nxt is None or value is None:
                 problems.append(
                     f"node {curr:#x} is linked into the queue but its "

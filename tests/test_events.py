@@ -89,6 +89,27 @@ class TestRecording:
         assert trace.initial_value(0x8) == 5
         assert trace.initial_value(0x10) is None
 
+    def test_install_after_a_shared_one_leaves_the_adopted_dict(self):
+        shared = {0x8: 5, 0x10: 6}
+        trace = Trace()
+        assert trace.initialize(shared, share=True) is shared
+        trace.initialize({0x10: 7, 0x18: 8}, share=True)
+        assert shared == {0x8: 5, 0x10: 6}
+        assert [trace.load(a) for a in (0x8, 0x10, 0x18)] == [5, 7, 8]
+        assert trace.memory_snapshot() == {0x8: 5, 0x10: 7, 0x18: 8}
+
+    def test_writes_leave_the_initial_image(self):
+        shared = {0x8: 5, 0x10: 6}
+        trace = Trace()
+        trace.initialize(shared, share=True)
+        trace.record_write(0, 0x8, 1)
+        trace.record_rmw(0, 0x10, expected=6, new_value=2)
+        trace.record_unconditional_rmw(0, 0x18, 3)
+        assert shared == {0x8: 5, 0x10: 6}
+        assert trace.written() == {0x8: 1, 0x10: 2, 0x18: 3}
+        assert trace.initial_value(0x8) == 5
+        assert trace.record_read(1, 0x8).read_value == 1
+
 
 class TestEventClassification:
     def test_release_write(self):

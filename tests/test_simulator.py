@@ -72,6 +72,22 @@ class TestSimulate:
             result = simulate(SPEC, mechanism=mech, config=CFG)
             result.verify_durable_final_state()
 
+    def test_durable_oracle_sees_an_unpersisted_write(self):
+        result = simulate(SPEC, mechanism="lrp", config=CFG)
+        addr = next(iter(result.trace.written()))
+        result.trace.record_write(0, addr, -1)
+        with pytest.raises(AssertionError, match=f"e.g. \\[{addr}\\]"):
+            result.verify_durable_final_state()
+
+    def test_durable_oracle_sees_a_persist_outside_memory(self):
+        result = simulate(SPEC, mechanism="lrp", config=CFG)
+        stray = 0x7F0000   # neither initial nor written
+        assert result.trace.load(stray) is None
+        result.nvm.issue_persist(stray, {stray: (1, 0)},
+                                 now=result.makespan)
+        with pytest.raises(AssertionError, match=f"e.g. \\[{stray}\\]"):
+            result.verify_durable_final_state()
+
 
 class TestStatsPlumbing:
     def test_persist_counts_positive_for_rp_mechanisms(self):
